@@ -326,6 +326,7 @@ fn bench_cache_admission(c: &mut Criterion) {
             synthesis_nanos: 50_000_000,
             size_bytes: 2_000,
             ttl_nanos: None,
+            payload: Default::default(),
         })
     };
     for admission in [true, false] {

@@ -25,6 +25,9 @@ use std::fmt;
 /// exhaustion from adversarial input on the service's public socket).
 const MAX_DEPTH: usize = 128;
 
+/// 2^53: below it every integer is an exact `f64`.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -161,38 +164,43 @@ impl Value {
     /// Renders the canonical text form (see module docs).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out).expect("writing to a String cannot fail");
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Writes the canonical text form into any [`fmt::Write`] sink: a
+    /// `String` to build the text, or a hasher that digests the bytes
+    /// without ever holding them (the content fingerprints). One routine
+    /// serves both, so a fingerprint always covers exactly the bytes
+    /// [`Value::render`] produces. Errors only when the sink errors.
+    pub fn render_into<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
+            Value::Null => out.write_str("null"),
+            Value::Bool(true) => out.write_str("true"),
+            Value::Bool(false) => out.write_str("false"),
             Value::Num(v) => render_num(*v, out),
             Value::Str(s) => render_str(s, out),
             Value::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.render_into(out);
+                    item.render_into(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Value::Obj(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
+                    render_str(k, out)?;
+                    out.write_char(':')?;
+                    v.render_into(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -200,35 +208,73 @@ impl Value {
 
 /// Writes a float in its canonical text form: Rust's shortest
 /// round-tripping decimal, or the dialect's bare non-finite tokens.
-fn render_num(v: f64, out: &mut String) {
-    use std::fmt::Write;
+fn render_num<W: fmt::Write + ?Sized>(v: f64, out: &mut W) -> fmt::Result {
     if v.is_nan() {
-        out.push_str("NaN");
+        out.write_str("NaN")
     } else if v == f64::INFINITY {
-        out.push_str("Infinity");
+        out.write_str("Infinity")
     } else if v == f64::NEG_INFINITY {
-        out.push_str("-Infinity");
+        out.write_str("-Infinity")
+    } else if v.abs() < EXACT_INT_LIMIT && (v as i64) as f64 == v {
+        // Integers are most of what the codec writes (node ids, dims,
+        // byte counts). Below 2^53 the shortest round-trip form of an
+        // integral float is its exact digits, so they are written
+        // directly instead of through the float formatter. (The i64
+        // round trip tests integrality without `f64::trunc`, a library
+        // call on baseline x86-64; -0.0 passes and keeps its sign, as
+        // the formatter writes it.)
+        let mut digits = [0u8; 16];
+        let mut at = digits.len();
+        let mut n = v.abs() as u64;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if v.is_sign_negative() {
+            out.write_char('-')?;
+        }
+        out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
     } else {
-        write!(out, "{v}").expect("writing to a String cannot fail");
+        write!(out, "{v}")
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes a quoted string, escaping quotes, backslashes and control
+/// characters. Runs of characters that need no escape go out as one
+/// slice.
+fn render_str<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    // Every escaped character is ASCII, and no byte of a multi-byte
+    // UTF-8 sequence is, so scanning bytes finds exactly the characters
+    // to escape and every slice boundary is a character boundary.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue; // the common case: written as part of the run
         }
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            control => {
+                out.write_str(&s[run..i])?;
+                write!(out, "\\u{control:04x}")?;
+                run = i + 1;
+                continue;
+            }
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(escape)?;
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Parses one JSON document, requiring the whole input to be consumed

@@ -58,7 +58,7 @@ pub use diff::PlanDiff;
 pub use json::{parse, CodecError, Value};
 pub use record::{
     parse_persist_line, parse_persist_line_full, persist_line, persist_line_with_req, CachedPlan,
-    PERSIST_VERSION, PERSIST_VERSION_COMPAT,
+    PlanPayload, PERSIST_VERSION, PERSIST_VERSION_COMPAT,
 };
 pub use ring::RingInfo;
 pub use stream::{

@@ -27,6 +27,8 @@
 //! rewrites the current version, so old formats migrate on the next boot.
 //! Unknown future versions are rejected rather than guessed at.
 
+use std::sync::{Arc, OnceLock};
+
 use hap_synthesis::{DistProgram, ShardingRatios};
 
 use crate::json::{CodecError, Value};
@@ -70,7 +72,16 @@ pub struct CachedPlan {
     pub size_bytes: u64,
     /// Per-entry time-to-live in nanoseconds; `None` = never expires.
     pub ttl_nanos: Option<u64>,
+    /// The rendered response payload ([`CachedPlan::payload`]): derived
+    /// from the fields above, never persisted. Build with
+    /// `PlanPayload::default()`; it fills on first use.
+    pub payload: PlanPayload,
 }
+
+/// Memo of a plan's rendered response payload, filled once on first use;
+/// clones taken after that share the rendered bytes.
+#[derive(Clone, Debug, Default)]
+pub struct PlanPayload(OnceLock<Arc<str>>);
 
 impl CachedPlan {
     /// The canonical byte size of this plan's payload (program + ratios),
@@ -80,6 +91,25 @@ impl CachedPlan {
     /// well-defined.
     pub fn measure_size(&self) -> u64 {
         (self.program.encode().render().len() + self.ratios.encode().render().len()) as u64
+    }
+
+    /// The canonical rendering of the response frame's `"plan"` object,
+    /// `{"rounds":..,"estimated_time":..,"ratios":..,"program":..}`.
+    /// Rendered on first call and kept: the payload never changes for a
+    /// given plan, so every response serving it splices these bytes in
+    /// instead of re-encoding the program. The fields it covers must not
+    /// change after the first call.
+    pub fn payload(&self) -> &str {
+        self.payload.0.get_or_init(|| {
+            Value::obj(vec![
+                ("rounds", self.rounds.encode()),
+                ("estimated_time", Value::Num(self.estimated_time)),
+                ("ratios", self.ratios.encode()),
+                ("program", self.program.encode()),
+            ])
+            .render()
+            .into()
+        })
     }
 
     /// Estimated synthesis-seconds saved per cached byte: the admission
@@ -134,7 +164,7 @@ impl Decode for CachedPlan {
             None | Some(Value::Null) => None,
             Some(n) => Some(n.as_u64()?),
         };
-        Ok(CachedPlan {
+        let plan = CachedPlan {
             program: DistProgram::decode(v.field("program")?)?,
             ratios: ShardingRatios::decode(v.field("ratios")?)?,
             estimated_time: v.field("estimated_time")?.as_f64()?,
@@ -145,7 +175,12 @@ impl Decode for CachedPlan {
             synthesis_nanos,
             size_bytes,
             ttl_nanos,
-        })
+            payload: PlanPayload::default(),
+        };
+        // Decoded plans are about to be served (a loaded log, a
+        // replicated entry): render the payload now, not on the first hit.
+        plan.payload();
+        Ok(plan)
     }
 }
 

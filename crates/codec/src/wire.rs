@@ -37,9 +37,29 @@ pub trait Decode: Sized {
     fn decode(v: &Value) -> Result<Self, CodecError>;
 }
 
+/// A [`std::fmt::Write`] sink that FNV-1a-hashes the bytes written to it
+/// instead of keeping them: fingerprints digest a value's canonical
+/// rendering without building the text.
+struct FnvSink(u64);
+
+impl std::fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv1a_bytes(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+impl FnvSink {
+    fn value(&mut self, v: &Value) {
+        v.render_into(self).expect("hashing cannot fail");
+    }
+}
+
 /// FNV-1a digest of a value's canonical rendering.
 pub fn value_fingerprint(v: &Value) -> u64 {
-    fnv1a_bytes(FNV_OFFSET, v.render().as_bytes())
+    let mut h = FnvSink(FNV_OFFSET);
+    h.value(v);
+    h.0
 }
 
 /// The content-addressed cache key of a planning request: a digest of the
@@ -58,15 +78,17 @@ pub fn request_fingerprint(graph: &Graph, cluster: &ClusterSpec, opts: &HapOptio
 
 ///[`request_fingerprint`] over already-encoded values (the service computes
 /// fingerprints straight from parsed request frames, without rebuilding the
-/// domain objects on the cache-hit path).
+/// domain objects on the cache-hit path). The digest covers the three
+/// canonical renderings joined by `|`, hashed as they are written.
 pub fn request_fingerprint_values(graph: &Value, cluster: &Value, opts: &Value) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv1a_bytes(h, graph.render().as_bytes());
-    h = fnv1a_bytes(h, b"|");
-    h = fnv1a_bytes(h, cluster.render().as_bytes());
-    h = fnv1a_bytes(h, b"|");
-    h = fnv1a_bytes(h, opts.render().as_bytes());
-    h
+    let mut h = FnvSink(FNV_OFFSET);
+    for (i, v) in [graph, cluster, opts].into_iter().enumerate() {
+        if i > 0 {
+            h.0 = fnv1a_bytes(h.0, b"|");
+        }
+        h.value(v);
+    }
+    h.0
 }
 
 /// Renders a fingerprint in the wire's `0x`-prefixed hex form (`u64` does

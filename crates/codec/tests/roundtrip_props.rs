@@ -223,6 +223,7 @@ fn sample_cached_plan(seed: usize, synthesis_nanos: u64, ttl_nanos: Option<u64>)
         synthesis_nanos,
         size_bytes: 0,
         ttl_nanos,
+        payload: Default::default(),
     };
     plan.size_bytes = plan.measure_size();
     plan

@@ -835,6 +835,7 @@ mod tests {
             synthesis_nanos,
             size_bytes,
             ttl_nanos,
+            payload: Default::default(),
         })
     }
 

@@ -109,7 +109,26 @@ impl RetryPolicy {
     }
 }
 
+/// Opens a request connection with Nagle's algorithm off.
+///
+/// A request is only complete at its newline, so the daemon cannot answer
+/// (and piggyback its ACK on the answer) before the newline arrives. With
+/// Nagle on, a newline sent as a separate small segment waits for the ACK
+/// of the bytes before it, which the daemon delays by the kernel's
+/// delayed-ACK timeout (40 ms minimum on Linux) — every round trip would
+/// stall that long. The client therefore disables Nagle *and* sends each
+/// frame, newline included, in a single write.
+fn connect_nodelay(addr: std::net::SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// One connection to a `hap-serve` daemon.
+///
+/// Requests go out as one write per frame on a no-delay socket (see
+/// [`Client::connect`]), so a cache hit costs one loopback round trip
+/// plus the daemon's work, not a delayed-ACK timeout.
 pub struct Client {
     /// The daemon's resolved address, kept so the retrying request paths
     /// can reconnect after a dropped connection.
@@ -132,13 +151,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to the daemon.
+    /// Connects to the daemon. The socket has `TCP_NODELAY` set (as does
+    /// every reconnect): a request frame is written whole and must not
+    /// wait for the ACK of an earlier segment.
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> std::io::Result<Client> {
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::other("address resolved to nothing"))?;
-        let stream = TcpStream::connect(addr)?;
+        let stream = connect_nodelay(addr)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             addr,
@@ -163,7 +184,7 @@ impl Client {
     /// Request ids keep counting up (the id only has to be unique per
     /// request on its connection).
     fn reconnect(&mut self) -> std::io::Result<()> {
-        let stream = TcpStream::connect(self.addr)?;
+        let stream = connect_nodelay(self.addr)?;
         self.writer = stream.try_clone()?;
         self.reader = BufReader::new(stream);
         Ok(())
@@ -209,11 +230,11 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         fields.insert(1, ("id", Value::int(id)));
-        let frame = Value::obj(fields).render();
+        let mut frame = Value::obj(fields).render();
+        frame.push('\n');
         let io_err = |e: std::io::Error| WireError::new("io", e.to_string());
+        // One write per frame, newline included: see `connect_nodelay`.
         self.writer.write_all(frame.as_bytes()).map_err(io_err)?;
-        self.writer.write_all(b"\n").map_err(io_err)?;
-        self.writer.flush().map_err(io_err)?;
         let mut v = self.read_frame()?;
         // A streaming response arrives as chunk frames terminated by a
         // `done` frame; the reassembled payload is the canonical response
@@ -773,6 +794,19 @@ fn decode_plan_reply(v: &Value) -> Result<PlanReply, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn connections_are_no_delay_after_connect_and_reconnect() {
+        // The listener's backlog completes the handshakes; nothing needs
+        // to accept them.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.nodelay().unwrap(), "after connect");
+        assert!(client.reader.get_ref().nodelay().unwrap(), "after connect (read half)");
+        client.reconnect().unwrap();
+        assert!(client.writer.nodelay().unwrap(), "after reconnect");
+        assert!(client.reader.get_ref().nodelay().unwrap(), "after reconnect (read half)");
+    }
 
     #[test]
     fn same_seed_reproduces_the_schedule() {

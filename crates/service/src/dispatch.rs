@@ -21,7 +21,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use hap::{parallelize_with_warm_profiled, HapOptions, SynthProfile};
 use hap_cluster::ClusterSpec;
 use hap_codec::{
-    render_fingerprint, value_fingerprint, Decode, Encode, Value, WireError, INTERNAL_KIND,
+    render_fingerprint, value_fingerprint, Decode, Encode, PlanPayload, Value, WireError,
+    INTERNAL_KIND,
 };
 use hap_graph::Graph;
 
@@ -451,7 +452,11 @@ fn synthesize_job(
         // covers in-process callers of `plan_values_with_ttl` so an
         // oversized TTL can never reach the (2^53-exact) record encoder.
         ttl_nanos: job.ttl_ms.map(|ms| ms.min(MAX_TTL_MS).saturating_mul(1_000_000)),
+        payload: PlanPayload::default(),
     };
     cached.size_bytes = cached.measure_size();
+    // Render the response payload here, on the worker, so no response
+    // serving this plan renders it on the I/O thread.
+    cached.payload();
     Ok((Arc::new(cached), profile))
 }

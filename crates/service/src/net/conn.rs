@@ -51,6 +51,12 @@ impl LineFramer {
         self.read_hwm
     }
 
+    /// True while a line is in progress: bytes of it are buffered, or an
+    /// oversized line is being discarded up to its newline.
+    pub fn has_partial(&self) -> bool {
+        !self.buf.is_empty() || self.discarding
+    }
+
     /// Absorbs one chunk of input, emitting every frame it completes.
     pub fn push(&mut self, chunk: &[u8], mut sink: impl FnMut(Frame)) {
         let mut rest = chunk;

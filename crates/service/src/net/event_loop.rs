@@ -150,9 +150,11 @@ struct Entry {
     armed: Interest,
     /// When the connection was accepted (telemetry clock; 0 = disabled).
     accept_nanos: u64,
-    /// Where the next request's `frame` span starts: the accept time for
-    /// the first request, then the end of the previous frame — pipelined
-    /// requests split the wire time between them instead of overlapping.
+    /// Where the next request's `frame` span starts: the read that
+    /// delivered the request line's first byte, or — for a line whose
+    /// first byte arrived in the same read as the end of the previous
+    /// line (pipelined requests) — the end of the previous frame. Idle
+    /// time between requests is never part of a `frame` span.
     frame_anchor: u64,
     /// Traces awaiting their `flush` span, keyed by output-slot sequence:
     /// `(response fulfill time, trace)`. Sealed by `service_conn` when the
@@ -276,7 +278,10 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    // No-delay: a response is queued whole, and holding
+                    // its tail for the peer's delayed ACK would stall
+                    // every round trip by the ACK timeout.
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
                     let token = self.next_token;
@@ -313,6 +318,11 @@ impl EventLoop {
         let mut frames: Vec<Frame> = Vec::new();
         let mut dead = false;
         if (ev.readable || ev.hangup) && !entry.conn.paused_reads {
+            // With no partial line buffered, whatever this read brings
+            // starts a new request line.
+            if !entry.conn.framer.has_partial() {
+                entry.frame_anchor = self.service.telemetry().now();
+            }
             match entry.conn.read_step(&mut frames) {
                 ReadOutcome::Open => {}
                 ReadOutcome::Closed => dead = true,

@@ -91,9 +91,12 @@ impl PeerConn {
 
     /// Sends one request line and reads one response line.
     fn round_trip(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One write per frame, newline included: a separate newline
+        // segment is exactly what Nagle and delayed ACKs stall on.
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -5,9 +5,9 @@
 //! change as a [`ClusterDelta`]. The cache stores only the *plan* under
 //! that fingerprint (deliberately — entries must stay small), so the
 //! daemon additionally remembers the request triple `(graph, cluster,
-//! options)` of recently planned fingerprints in a bounded FIFO
-//! [`ReplanIndex`]. A replan needs both halves: the triple to rebuild the
-//! request on the post-delta cluster, and the cached plan to seed
+//! options)` of recently planned fingerprints in a bounded second-chance
+//! FIFO [`ReplanIndex`]. A replan needs both halves: the triple to rebuild
+//! the request on the post-delta cluster, and the cached plan to seed
 //! synthesis warm and to diff against. Either half missing — never
 //! planned, expired, or evicted — answers with a typed
 //! `unknown_fingerprint` frame, and clients fall back to a cold `plan`.
@@ -57,13 +57,26 @@ impl RequestTriple {
     }
 }
 
-/// A bounded FIFO map from request fingerprint to its request triple.
+/// One recorded triple plus its second-chance bit.
+struct IndexEntry {
+    triple: Arc<RequestTriple>,
+    /// Requested again since it was (re-)queued.
+    touched: bool,
+}
+
+/// A bounded second-chance FIFO map from request fingerprint to its
+/// request triple.
 ///
-/// Insertion order is eviction order: replans target *recent* plans, and
-/// FIFO keeps the structure O(1) without the cache's sharded-LRU weight.
+/// Insertion order is eviction order, except that an entry requested
+/// again since it was queued is re-queued once (its bit cleared) instead
+/// of evicted. Replans target recent *and* hot plans: without the bit,
+/// a stream of one-off requests larger than the capacity would push out
+/// priors that are hit constantly. Every operation stays O(1) (eviction
+/// amortized: each re-queue spends one touch) without the cache's
+/// sharded-LRU weight.
 pub(crate) struct ReplanIndex {
     cap: usize,
-    map: HashMap<u64, Arc<RequestTriple>>,
+    map: HashMap<u64, IndexEntry>,
     order: VecDeque<u64>,
 }
 
@@ -72,30 +85,45 @@ impl ReplanIndex {
         ReplanIndex { cap: cap.max(1), map: HashMap::new(), order: VecDeque::new() }
     }
 
-    /// Remembers `fp → triple`, evicting the oldest entry at capacity.
-    /// Re-recording a known fingerprint is a no-op (the triple is a pure
-    /// function of the fingerprint).
+    /// Remembers `fp → triple`, evicting the oldest untouched entry at
+    /// capacity. Re-recording a known fingerprint is a no-op (the triple
+    /// is a pure function of the fingerprint); requests that should keep
+    /// an entry alive [`ReplanIndex::touch`] it.
     pub fn record(&mut self, fp: u64, triple: Arc<RequestTriple>) {
         if self.map.contains_key(&fp) {
             return;
         }
         if self.map.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
+            self.evict_one();
         }
-        self.map.insert(fp, triple);
+        self.map.insert(fp, IndexEntry { triple, touched: false });
         self.order.push_back(fp);
     }
 
-    pub fn get(&self, fp: u64) -> Option<Arc<RequestTriple>> {
-        self.map.get(&fp).cloned()
+    /// Marks a recorded fingerprint as requested again, sparing it from
+    /// its next eviction. Returns false when the fingerprint is unknown.
+    pub fn touch(&mut self, fp: u64) -> bool {
+        self.map.get_mut(&fp).map(|entry| entry.touched = true).is_some()
     }
 
-    /// True when the fingerprint is already recorded (lets callers skip
-    /// building a triple on the hot path).
-    pub fn contains(&self, fp: u64) -> bool {
-        self.map.contains_key(&fp)
+    /// Evicts the oldest entry whose bit is clear, re-queueing (and
+    /// clearing) every marked entry it passes. Terminates: each pass over
+    /// a marked entry clears its bit.
+    fn evict_one(&mut self) {
+        while let Some(old) = self.order.pop_front() {
+            let entry = self.map.get_mut(&old).expect("queued entries are mapped");
+            if entry.touched {
+                entry.touched = false;
+                self.order.push_back(old);
+            } else {
+                self.map.remove(&old);
+                return;
+            }
+        }
+    }
+
+    pub fn get(&self, fp: u64) -> Option<Arc<RequestTriple>> {
+        self.map.get(&fp).map(|entry| entry.triple.clone())
     }
 
     #[cfg(test)]
@@ -185,6 +213,35 @@ mod tests {
         index.record(3, triple(3));
         // fp 1 was recorded once, so it is the FIFO victim exactly once.
         assert_eq!(index.len(), 2);
+        assert!(index.get(1).is_none());
+    }
+
+    #[test]
+    fn a_prior_touched_between_floods_survives_and_an_untouched_one_does_not() {
+        const CAP: usize = 8;
+        let mut index = ReplanIndex::new(CAP);
+        index.record(1, triple(1)); // hot: touched between bursts
+        index.record(2, triple(2)); // cold: never touched again
+        let mut next = 100;
+        let mut flood = |index: &mut ReplanIndex, n: usize| {
+            for _ in 0..n {
+                index.record(next, triple(next));
+                next += 1;
+            }
+        };
+        // A flood of one-off requests four times the capacity, in bursts
+        // of half the capacity with the hot prior requested between them
+        // (a hit at least once per `cap` new entries).
+        for _burst in 0..8 {
+            assert!(index.touch(1), "the hot prior is still indexed");
+            flood(&mut index, CAP / 2);
+            assert!(index.get(1).is_some(), "the touched prior survived the burst");
+        }
+        assert_eq!(index.len(), CAP);
+        assert!(index.get(2).is_none(), "the untouched prior is evicted as before");
+        assert!(!index.touch(2), "an evicted prior cannot be touched back");
+        // Once nothing touches it, the hot prior ages out like any entry.
+        flood(&mut index, 2 * CAP);
         assert!(index.get(1).is_none());
     }
 }

@@ -83,6 +83,11 @@ fn encode_span<T>(tb: &mut Option<TraceBuilder>, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// Renders a response frame under an `encode` span.
+fn render_span(tb: &mut Option<TraceBuilder>, frame: Value) -> String {
+    encode_span(tb, || frame.render())
+}
+
 /// Everything a successful replan resolves to: where the plan came from,
 /// the rebased fingerprint, the plan itself, the instruction-level diff
 /// against the prior plan, and (when requested) the synthesis profile.
@@ -246,8 +251,7 @@ impl PlanService {
     pub fn handle_line(&self, line: &str) -> (String, bool) {
         let mut tb = self.shared.telemetry.builder();
         match self.handle_parsed(line, &mut tb) {
-            Ok((response, outcome, shutdown)) => {
-                let rendered = encode_span(&mut tb, || response.render());
+            Ok((rendered, outcome, shutdown)) => {
                 self.shared.telemetry.finish(tb, outcome);
                 (rendered, shutdown)
             }
@@ -264,7 +268,7 @@ impl PlanService {
         &self,
         line: &str,
         tb: &mut Option<TraceBuilder>,
-    ) -> Result<(Value, Outcome, bool), (u64, WireError)> {
+    ) -> Result<(String, Outcome, bool), (u64, WireError)> {
         if let Some(tb) = tb.as_mut() {
             tb.begin(SpanKind::Decode);
         }
@@ -283,38 +287,41 @@ impl PlanService {
                     tb,
                 );
                 let plan_arc = result.map_err(|e| (req.id, e))?;
-                Ok((
-                    plan_frame_with(req.id, fp, source, &plan_arc, None, profile.as_deref()),
-                    outcome_for_source(source),
-                    false,
-                ))
+                let line = encode_span(tb, || {
+                    plan_line(req.id, fp, source, &plan_arc, None, profile.as_deref())
+                });
+                Ok((line, outcome_for_source(source), false))
             }
             ReqOp::Replan(rp) => {
                 let (source, fp, plan, diff, profile) = self
                     .replan_values_traced(rp.prior, &rp.delta, rp.ttl_ms, rp.profile, tb)
                     .map_err(|e| (req.id, e))?;
-                Ok((
-                    plan_frame_with(req.id, fp, source, &plan, Some(&diff), profile.as_deref()),
-                    Outcome::Replan,
-                    false,
-                ))
+                let line = encode_span(tb, || {
+                    plan_line(req.id, fp, source, &plan, Some(&diff), profile.as_deref())
+                });
+                Ok((line, Outcome::Replan, false))
             }
-            ReqOp::Stats => Ok((self.stats_frame(req.id), Outcome::Ok, false)),
-            ReqOp::Metrics => Ok((self.metrics_frame(req.id), Outcome::Ok, false)),
+            ReqOp::Stats => Ok((render_span(tb, self.stats_frame(req.id)), Outcome::Ok, false)),
+            ReqOp::Metrics => Ok((render_span(tb, self.metrics_frame(req.id)), Outcome::Ok, false)),
             ReqOp::Trace { n, min_ms } => {
-                Ok((self.trace_frame(req.id, n, min_ms), Outcome::Ok, false))
+                Ok((render_span(tb, self.trace_frame(req.id, n, min_ms)), Outcome::Ok, false))
             }
-            ReqOp::Ring(install) => Ok((self.ring_frame(req.id, install), Outcome::Ok, false)),
-            ReqOp::Replicate(rep) => Ok((self.replicate_frame(req.id, *rep), Outcome::Ok, false)),
-            ReqOp::Shutdown => Ok((ok_frame(req.id), Outcome::Ok, true)),
+            ReqOp::Ring(install) => {
+                Ok((render_span(tb, self.ring_frame(req.id, install)), Outcome::Ok, false))
+            }
+            ReqOp::Replicate(rep) => {
+                Ok((render_span(tb, self.replicate_frame(req.id, *rep)), Outcome::Ok, false))
+            }
+            ReqOp::Shutdown => Ok((render_span(tb, ok_frame(req.id)), Outcome::Ok, true)),
         }
     }
 
     /// Remembers the request triple behind a fingerprint so a later
-    /// `replan` can rebuild it. Cheap when already recorded.
+    /// `replan` can rebuild it. When already recorded, only touches the
+    /// entry (one bit, O(1)) so a hot prior outlives one-off requests.
     fn record_request(&self, fp: u64, graph: &Value, cluster: &Value, options: &Value) {
         let mut index = lock_recover(&self.shared.replans);
-        if !index.contains(fp) {
+        if !index.touch(fp) {
             index.record(
                 fp,
                 Arc::new(RequestTriple {
@@ -1492,21 +1499,7 @@ fn classify_proxy_reply(resp: &str) -> Option<ProxyReply> {
 /// successful plan frame, its locally chunked encoding. Canonical JSON
 /// makes the relay byte-identical to a locally rendered response.
 fn proxied_bytes(id: u64, line: String, is_plan: bool, stream_chunk: Option<usize>) -> Vec<u8> {
-    match stream_chunk {
-        Some(chunk) if is_plan => {
-            let mut bytes = Vec::with_capacity(line.len() + line.len() / 8);
-            for frame in encode_stream(id, &line, chunk) {
-                bytes.extend_from_slice(frame.as_bytes());
-                bytes.push(b'\n');
-            }
-            bytes
-        }
-        _ => {
-            let mut bytes = line.into_bytes();
-            bytes.push(b'\n');
-            bytes
-        }
-    }
+    line_bytes(id, line, stream_chunk.filter(|_| is_plan))
 }
 
 /// The local-resolution tail shared by every proxy fallback: re-probe the
@@ -1644,10 +1637,9 @@ fn replan_diff(prior_fp: u64, prior: &CachedPlan, next: &CachedPlan) -> PlanDiff
     )
 }
 
-/// `{"id":N,"ok":true,"fingerprint":...,"source":...,"plan":{...}}`,
-/// optionally extended with a `replan` diff field (the response shape of
-/// the `replan` verb) and/or a `profile` field (when the request carried
-/// `"profile": true` and the synthesis profile is still indexed).
+/// The reference form of a plan response as one [`Value`]: what
+/// [`plan_line`] must reproduce byte for byte.
+#[cfg(test)]
 fn plan_frame_with(
     id: u64,
     fp: u64,
@@ -1680,6 +1672,47 @@ fn plan_frame_with(
     Value::obj(fields)
 }
 
+/// The canonical plan response line,
+/// `{"id":N,"ok":true,"fingerprint":...,"source":...,"plan":{...}}`,
+/// optionally extended with a `replan` diff field (the response shape of
+/// the `replan` verb) and/or a `profile` field (when the request carried
+/// `"profile": true` and the synthesis profile is still indexed).
+///
+/// The `plan` object is the plan's memoized payload
+/// ([`CachedPlan::payload`]), spliced in as rendered bytes: only the
+/// per-request fields around it are rendered here. Every plan response
+/// (hit, synthesized, coalesced, replan, streamed or not) is built here.
+fn plan_line(
+    id: u64,
+    fp: u64,
+    source: PlanSource,
+    plan: &CachedPlan,
+    diff: Option<&PlanDiff>,
+    profile: Option<&SynthProfile>,
+) -> String {
+    let payload = plan.payload();
+    // Room for the fields around the payload and the transport's newline.
+    let mut line = String::with_capacity(payload.len() + 96);
+    let field = |line: &mut String, key: &str, value: &Value| {
+        line.push_str(key);
+        value.render_into(line).expect("writing to a String cannot fail");
+    };
+    field(&mut line, "{\"id\":", &Value::int(id));
+    line.push_str(",\"ok\":true");
+    field(&mut line, ",\"fingerprint\":", &Value::Str(render_fingerprint(fp)));
+    field(&mut line, ",\"source\":", &Value::Str(source.as_str().into()));
+    line.push_str(",\"plan\":");
+    line.push_str(payload);
+    if let Some(diff) = diff {
+        field(&mut line, ",\"replan\":", &diff.encode());
+    }
+    if let Some(profile) = profile {
+        field(&mut line, ",\"profile\":", &encode_profile(profile));
+    }
+    line.push('}');
+    line
+}
+
 /// One rendered frame plus its newline.
 pub(crate) fn frame_bytes(frame: &Value) -> Vec<u8> {
     let mut bytes = frame.render().into_bytes();
@@ -1700,12 +1733,16 @@ pub(crate) fn plan_bytes(
     profile: Option<&SynthProfile>,
     stream_chunk: Option<usize>,
 ) -> Vec<u8> {
-    let line = plan_frame_with(id, fp, source, plan, diff, profile).render();
+    line_bytes(id, plan_line(id, fp, source, plan, diff, profile), stream_chunk)
+}
+
+/// A response line on the wire: the line plus its newline, or its chunked
+/// stream encoding at `stream_chunk` bytes per chunk.
+fn line_bytes(id: u64, mut line: String, stream_chunk: Option<usize>) -> Vec<u8> {
     match stream_chunk {
         None => {
-            let mut bytes = line.into_bytes();
-            bytes.push(b'\n');
-            bytes
+            line.push('\n');
+            line.into_bytes()
         }
         Some(chunk) => {
             let mut bytes = Vec::with_capacity(line.len() + line.len() / 8);
@@ -1715,5 +1752,105 @@ pub(crate) fn plan_bytes(
             }
             bytes
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hap_codec::{parse_persist_line, StreamDecoder, StreamEvent};
+    use proptest::prelude::*;
+
+    /// Real plans to render: the committed v2 log fixture's records.
+    fn fixture_plans() -> Vec<CachedPlan> {
+        include_str!("../tests/fixtures/v2_cache.jsonl")
+            .lines()
+            .map(|line| parse_persist_line(line).expect("fixture line parses").1)
+            .collect()
+    }
+
+    /// Reassembles a streamed response into its canonical line.
+    fn reassemble(id: u64, bytes: &[u8]) -> String {
+        let text = std::str::from_utf8(bytes).expect("UTF-8 frames");
+        let mut decoder = StreamDecoder::new(id);
+        for frame in text.split_terminator('\n') {
+            let v = parse(frame).expect("stream frame parses");
+            if let StreamEvent::Done(payload) = decoder.feed(&v).expect("valid stream") {
+                return payload;
+            }
+        }
+        panic!("stream ended without a done frame");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The spliced plan response equals the reference rendering of the
+        /// whole frame as one value, for every source and optional field,
+        /// over both transports, and whether or not the payload was
+        /// rendered before.
+        #[test]
+        fn spliced_plan_frames_match_the_reference_rendering(
+            id in 0u64..=1 << 53,
+            fp in 0u64..u64::MAX,
+            which in (0usize..3, 0usize..3, 0usize..3),
+            extras in (0usize..2, 0usize..2, 0usize..2),
+            chunk in 1usize..4096,
+            counters in (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
+        ) {
+            let plans = fixture_plans();
+            let (source, plan_at, prior_at) = which;
+            let (with_diff, with_profile, fresh) = extras;
+            let source = [PlanSource::Cache, PlanSource::Synthesized, PlanSource::Coalesced][source];
+            let plan = if fresh == 1 {
+                CachedPlan { payload: Default::default(), ..plans[plan_at].clone() }
+            } else {
+                plans[plan_at].clone()
+            };
+            let diff = (with_diff == 1).then(|| replan_diff(fp ^ 1, &plans[prior_at], &plan));
+            let profile = (with_profile == 1).then(|| SynthProfile {
+                waves: counters.0,
+                expansions: counters.1,
+                committed: counters.2,
+                ..SynthProfile::default()
+            });
+            let reference =
+                plan_frame_with(id, fp, source, &plan, diff.as_ref(), profile.as_ref()).render();
+            let line = plan_line(id, fp, source, &plan, diff.as_ref(), profile.as_ref());
+            prop_assert_eq!(&line, &reference);
+
+            let unstreamed =
+                plan_bytes(id, fp, source, &plan, diff.as_ref(), profile.as_ref(), None);
+            prop_assert_eq!(unstreamed, format!("{reference}\n").into_bytes());
+            let streamed =
+                plan_bytes(id, fp, source, &plan, diff.as_ref(), profile.as_ref(), Some(chunk));
+            prop_assert_eq!(reassemble(id, &streamed), reference);
+        }
+    }
+
+    #[test]
+    fn a_cache_reloaded_from_its_log_serves_the_same_bytes() {
+        let dir = std::env::temp_dir().join(format!("hap-service-reload-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("cache.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let config =
+            || ServiceConfig { cache_path: Some(path.clone()), ..ServiceConfig::default() };
+        let line = crate::testing::request_line(&crate::testing::one_off_request(3), 41);
+
+        let first = PlanService::new(config()).unwrap();
+        let (cold, _) = first.handle_line(&line);
+        let (hit, _) = first.handle_line(&line);
+        first.stop();
+        drop(first);
+        assert!(cold.contains("\"source\":\"synthesized\""), "{cold:.200}");
+        assert!(hit.contains("\"source\":\"cache\""), "{hit:.200}");
+
+        let reloaded = PlanService::new(config()).unwrap();
+        let (after, _) = reloaded.handle_line(&line);
+        reloaded.stop();
+        assert_eq!(reloaded.stats().synthesized, 0, "served from the reloaded log");
+        assert_eq!(after, hit, "a reloaded plan renders the bytes the live cache served");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

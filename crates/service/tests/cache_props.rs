@@ -35,6 +35,7 @@ fn plan(synthesis_nanos: u64, size_bytes: u64, ttl_nanos: Option<u64>) -> Arc<Ca
         synthesis_nanos,
         size_bytes,
         ttl_nanos,
+        payload: Default::default(),
     })
 }
 

@@ -13,7 +13,10 @@ use crate::clock::Clock;
 pub enum SpanKind {
     /// Connection accepted (async path only; a zero-width marker).
     Accept,
-    /// The request line accumulating in the framer, first byte → newline.
+    /// The request line accumulating in the framer: the read that
+    /// delivered its first byte (or the previous frame's end, for a line
+    /// pipelined behind another in one read) → newline. Idle time before
+    /// the first byte is not part of it.
     Frame,
     /// Parsing the request JSON and validating its fields.
     Decode,
