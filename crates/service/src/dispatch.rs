@@ -1,18 +1,15 @@
 //! The synthesis dispatcher: the job queue, single-flight slots, and the
 //! fixed worker pool — fully decoupled from any transport.
 //!
-//! A slot is the rendezvous for one in-flight synthesis. Two kinds of
-//! consumers attach to it:
-//!
-//! * **Synchronous waiters** (`PlanService::plan_values*`, benches,
-//!   in-process tests) park on the slot's condvar exactly as before.
-//! * **Subscribers** (the event loop) register a callback and return to
-//!   their poll loop immediately; when a worker finishes the job it runs
-//!   every subscriber with the result. Subscribers render their own
-//!   response bytes and hand them to the loop through its completion
-//!   queue + waker — no I/O thread ever blocks on a synthesis, and a
-//!   single-flight follower subscribes to the leader's slot instead of
-//!   parking a thread.
+//! A slot is the rendezvous for one in-flight synthesis. Its only
+//! consumers are **subscribers**: a request that queued or joined a
+//! synthesis registers a callback and returns immediately; when a worker
+//! finishes the job it runs every subscriber with the result. Subscribers
+//! render their own response bytes and hand them to the transport's
+//! delivery — the event loop's completion queue + waker, or the one-slot
+//! channel [`crate::PlanService::handle_line`] blocks on — so no I/O
+//! thread ever blocks on a synthesis, and a single-flight follower
+//! subscribes to the leader's slot instead of parking a thread.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -30,6 +27,8 @@ use crate::cache::{cluster_features, CachedPlan, PersistLog, PlanCache};
 use crate::config::{ServiceConfig, MAX_TTL_MS};
 use crate::faults;
 use crate::peer::ClusterState;
+use crate::replan::RequestTriple;
+use crate::service::PlanSource;
 use crate::stats::Counters;
 use crate::sync::{lock_recover, wait_recover};
 use crate::telemetry::{ProfileIndex, Telemetry};
@@ -56,40 +55,27 @@ pub(crate) struct SlotState {
     resolved_nanos: u64,
 }
 
-pub(crate) type Slot = Arc<(Mutex<SlotState>, Condvar)>;
+pub(crate) type Slot = Arc<Mutex<SlotState>>;
 
 fn new_slot(queued_nanos: u64) -> Slot {
-    Arc::new((
-        Mutex::new(SlotState {
-            result: None,
-            subscribers: Vec::new(),
-            queued_nanos,
-            started_nanos: 0,
-            resolved_nanos: 0,
-        }),
-        Condvar::new(),
-    ))
+    Arc::new(Mutex::new(SlotState {
+        result: None,
+        subscribers: Vec::new(),
+        queued_nanos,
+        started_nanos: 0,
+        resolved_nanos: 0,
+    }))
 }
 
 /// Stamps the moment a worker picked the job up.
 fn mark_started(slot: &Slot, now: u64) {
-    lock_recover(&slot.0).started_nanos = now;
+    lock_recover(slot).started_nanos = now;
 }
 
 /// The slot's telemetry marks: `(queued, started, resolved)`.
 pub(crate) fn slot_marks(slot: &Slot) -> (u64, u64, u64) {
-    let state = lock_recover(&slot.0);
+    let state = lock_recover(slot);
     (state.queued_nanos, state.started_nanos, state.resolved_nanos)
-}
-
-/// Blocks until the slot resolves (the synchronous consumer path).
-pub(crate) fn wait_sync(slot: &Slot) -> PlanResult {
-    let (lock, cvar) = &**slot;
-    let mut state = lock_recover(lock);
-    while state.result.is_none() {
-        state = wait_recover(cvar, state);
-    }
-    state.result.clone().expect("loop exits with a result")
 }
 
 /// Attaches a deferred consumer. If the slot already resolved the callback
@@ -97,8 +83,7 @@ pub(crate) fn wait_sync(slot: &Slot) -> PlanResult {
 /// that resolves the slot.
 pub(crate) fn subscribe(slot: &Slot, f: Subscriber) {
     let already_resolved = {
-        let (lock, _) = &**slot;
-        let mut state = lock_recover(lock);
+        let mut state = lock_recover(slot);
         match state.result.clone() {
             Some(result) => Some((f, result)),
             None => {
@@ -119,9 +104,7 @@ pub(crate) fn subscribe(slot: &Slot, f: Subscriber) {
 /// consumer attached to.
 pub(crate) struct Job {
     pub fp: u64,
-    pub graph: Value,
-    pub cluster: Value,
-    pub options: Value,
+    pub triple: Arc<RequestTriple>,
     /// Requested cache TTL for the synthesized plan. Requests fingerprint
     /// on `(graph, cluster, options)` only, so concurrent duplicates with
     /// different `ttl_ms` coalesce — the leader's TTL wins.
@@ -164,26 +147,28 @@ pub(crate) struct Shared {
 
 /// How a single-flight attach played out.
 pub(crate) enum Attach {
-    /// This request became the leader and its job is queued.
-    Leader(Slot),
-    /// This request joined an existing in-flight job.
-    Follower(Slot),
+    /// The request's result will land in this slot: `Synthesized` when
+    /// this request became the leader and queued the job, `Coalesced` when
+    /// it joined an existing in-flight job.
+    Pending(PlanSource, Slot),
     /// The request resolved without queueing (cache race win, shed, or
     /// shutdown); the result is final and carries the source it would
     /// have reported (`Cache` for the race win, `Synthesized` for a
     /// leader that was shed or raced shutdown).
-    Resolved(crate::service::PlanSource, PlanResult),
+    Resolved(PlanSource, PlanResult),
 }
 
-/// The single-flight core shared by the sync and async request paths:
-/// cache re-probe under leadership, queue-depth shedding, job submission.
-/// Counters are bumped exactly as the pre-split server did.
+/// The error a request gets when the service stops before answering it.
+pub(crate) fn shutting_down() -> WireError {
+    WireError::new("shutdown", "service is shutting down")
+}
+
+/// The single-flight core of every miss: cache re-probe under leadership,
+/// queue-depth shedding, job submission.
 pub(crate) fn attach(
     shared: &Shared,
     fp: u64,
-    graph: &Value,
-    cluster: &Value,
-    options: &Value,
+    triple: &Arc<RequestTriple>,
     ttl_ms: Option<u64>,
     warm: Option<Arc<CachedPlan>>,
 ) -> Attach {
@@ -200,7 +185,7 @@ pub(crate) fn attach(
     };
     if !leader {
         shared.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-        return Attach::Follower(slot);
+        return Attach::Pending(PlanSource::Coalesced, slot);
     }
     // Re-probe the cache after winning leadership: the previous in-flight
     // synthesis for this fingerprint may have completed (cache insert
@@ -210,24 +195,16 @@ pub(crate) fn attach(
     if let Some(plan) = shared.cache.get(fp) {
         shared.counters.hits.fetch_add(1, Ordering::Relaxed);
         finish(shared, fp, &slot, Ok(plan.clone()));
-        return Attach::Resolved(crate::service::PlanSource::Cache, Ok(plan));
+        return Attach::Resolved(PlanSource::Cache, Ok(plan));
     }
-    let job = Job {
-        fp,
-        graph: graph.clone(),
-        cluster: cluster.clone(),
-        options: options.clone(),
-        ttl_ms,
-        warm,
-        slot: slot.clone(),
-    };
+    let job = Job { fp, triple: triple.clone(), ttl_ms, warm, slot: slot.clone() };
     let (queue, cvar) = &shared.queue;
     let mut state = lock_recover(queue);
     if state.shutdown {
         drop(state);
-        let err = WireError::new("shutdown", "service is shutting down");
+        let err = shutting_down();
         finish(shared, fp, &slot, Err(err.clone()));
-        return Attach::Resolved(crate::service::PlanSource::Synthesized, Err(err));
+        return Attach::Resolved(PlanSource::Synthesized, Err(err));
     }
     // Queue-depth admission control: a full backlog sheds the *leader*
     // (followers above never add work, so they always join). The busy
@@ -242,11 +219,11 @@ pub(crate) fn attach(
             WireError::busy(crate::config::busy_hint_ms(shared.config.busy_retry_ms, depth), depth);
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         finish(shared, fp, &slot, Err(err.clone()));
-        return Attach::Resolved(crate::service::PlanSource::Synthesized, Err(err));
+        return Attach::Resolved(PlanSource::Synthesized, Err(err));
     }
     state.jobs.push_back(job);
     cvar.notify_all();
-    Attach::Leader(slot)
+    Attach::Pending(PlanSource::Synthesized, slot)
 }
 
 /// One synthesis worker: pulls jobs from the shared queue one at a time
@@ -304,12 +281,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
             // A plan the admission gate declined is still *returned* (the
             // requester paid for it); it is just not cached or persisted.
             if !matches!(verdict, crate::cache::Admission::Rejected { .. }) {
-                let req = crate::replan::RequestTriple {
-                    graph: job.graph.clone(),
-                    cluster: job.cluster.clone(),
-                    options: job.options.clone(),
-                }
-                .encode_req();
+                let req = job.triple.encode_req();
                 if let Some(persist) = &shared.persist {
                     // Degradation is the log's problem, not the request's:
                     // an unacknowledged append flips the log to memory-only
@@ -382,21 +354,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Retires the in-flight entry, publishes a result to the slot's waiters,
-/// and runs the subscribers. Retiring *first* means that by the time any
-/// waiter observes its reply the `in_flight` gauge has already dropped,
-/// so stats never report a completed request as still in flight.
-/// Subscribers run outside the slot lock (they take the event loop's
-/// completion-queue lock).
+/// Retires the in-flight entry, publishes a result to the slot, and runs
+/// the subscribers. Retiring *first* means that by the time any requester
+/// observes its reply the `in_flight` gauge has already dropped, so stats
+/// never report a completed request as still in flight. Subscribers run
+/// outside the slot lock (they take the transport's delivery locks).
 pub(crate) fn finish(shared: &Shared, fp: u64, slot: &Slot, result: PlanResult) {
     lock_recover(&shared.inflight).remove(&fp);
     let resolved = shared.telemetry.now();
     let subscribers = {
-        let (lock, cvar) = &**slot;
-        let mut state = lock_recover(lock);
+        let mut state = lock_recover(slot);
         state.resolved_nanos = resolved;
         state.result = Some(result.clone());
-        cvar.notify_all();
         std::mem::take(&mut state.subscribers)
     };
     for subscriber in subscribers {
@@ -415,11 +384,12 @@ fn synthesize_job(
 ) -> Result<(Arc<CachedPlan>, SynthProfile), WireError> {
     faults::check_panic(faults::SYNTHESIZE);
     let started = std::time::Instant::now();
-    let graph = Graph::decode(&job.graph).map_err(WireError::from)?;
-    let cluster = ClusterSpec::decode(&job.cluster).map_err(WireError::from)?;
-    let options = HapOptions::decode(&job.options).map_err(WireError::from)?;
-    let graph_fp = value_fingerprint(&job.graph);
-    let opts_fp = value_fingerprint(&job.options);
+    let req = job.triple.as_ref();
+    let graph = Graph::decode(&req.graph).map_err(WireError::from)?;
+    let cluster = ClusterSpec::decode(&req.cluster).map_err(WireError::from)?;
+    let options = HapOptions::decode(&req.options).map_err(WireError::from)?;
+    let graph_fp = value_fingerprint(&req.graph);
+    let opts_fp = value_fingerprint(&req.options);
     let features = cluster_features(&cluster, options.granularity);
 
     // A replan's named incumbent wins over the neighbor heuristic: it is
@@ -448,8 +418,8 @@ fn synthesize_job(
         features,
         synthesis_nanos: started.elapsed().as_nanos() as u64,
         size_bytes: 0,
-        // The wire layer already rejects ttl_ms > MAX_TTL_MS; the clamp
-        // covers in-process callers of `plan_values_with_ttl` so an
+        // Every TTL arrives through the wire parse, which already rejects
+        // ttl_ms > MAX_TTL_MS; the clamp keeps that guarantee local, so an
         // oversized TTL can never reach the (2^53-exact) record encoder.
         ttl_nanos: job.ttl_ms.map(|ms| ms.min(MAX_TTL_MS).saturating_mul(1_000_000)),
         payload: PlanPayload::default(),

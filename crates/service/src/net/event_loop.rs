@@ -31,7 +31,7 @@ use mini_epoll::{Event, Interest, Poller, Waker, WAKE_TOKEN};
 
 use crate::config::ServiceConfig;
 use crate::net::conn::{Conn, Frame, ReadOutcome};
-use crate::service::{PlanService, Submission};
+use crate::service::{Deliver, PlanService, Submission};
 use crate::stats::NetGauges;
 use crate::telemetry::PendingTrace;
 
@@ -369,14 +369,14 @@ impl EventLoop {
                 entry.frame_anchor = now;
                 let seq = entry.conn.out.reserve();
                 let shared = self.shared.clone();
-                let deliver = Box::new(move |bytes: Vec<u8>, trace: Option<PendingTrace>| {
-                    shared.deliver(token, seq, bytes, trace)
+                let deliver = Deliver::new(move |bytes: String, trace| {
+                    shared.deliver(token, seq, bytes.into_bytes(), trace)
                 });
-                match self.service.submit(&line, tb, deliver) {
+                match self.service.submit(&line, tb, deliver, true) {
                     Submission::Ready { bytes, shutdown, trace } => {
                         // Re-borrow: submit may have run a subscriber.
                         if let Some(entry) = self.conns.get_mut(&token) {
-                            entry.conn.out.fulfill(seq, bytes);
+                            entry.conn.out.fulfill(seq, bytes.into_bytes());
                             if let Some(pt) = trace {
                                 entry.traces.insert(seq, (telemetry.now(), pt));
                             }
@@ -392,14 +392,14 @@ impl EventLoop {
                     "oversize",
                     format!("request line exceeds the {limit}-byte limit"),
                 );
-                let bytes = self.service.render_error(0, &err);
+                let bytes = self.service.render_error(0, &err).into_bytes();
                 Self::push_error_frame(entry, &telemetry, bytes);
                 false
             }
             Frame::Malformed => {
                 entry.conn.last_activity = Instant::now();
                 let err = WireError::new("parse", "request line is not valid UTF-8");
-                let bytes = self.service.render_error(0, &err);
+                let bytes = self.service.render_error(0, &err).into_bytes();
                 Self::push_error_frame(entry, &telemetry, bytes);
                 false
             }

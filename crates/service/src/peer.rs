@@ -175,10 +175,14 @@ impl PeerPool {
     }
 
     /// Runs `job` on a peer thread, spawning one (up to the cap) when none
-    /// is idle. Jobs submitted after [`PeerPool::stop`] are dropped.
+    /// is idle. Jobs submitted after [`PeerPool::stop`] are dropped, outside
+    /// the pool's lock: a dropped proxy job still answers its request (see
+    /// `service::Deliver`), through the transport's own locks.
     pub fn spawn(&self, job: PeerJob) {
         let mut state = lock_recover(&self.jobs.state);
         if state.stopping {
+            drop(state);
+            drop(job);
             return;
         }
         state.queue.push_back(job);
@@ -199,14 +203,16 @@ impl PeerPool {
         self.jobs.cvar.notify_one();
     }
 
-    /// Stops the job threads and drops pooled connections. Idempotent;
-    /// called from `PlanService::stop`.
+    /// Stops the job threads and drops queued jobs (outside the lock, as in
+    /// [`PeerPool::spawn`]) and pooled connections. Idempotent; called from
+    /// `PlanService::stop`.
     pub fn stop(&self) {
-        {
+        let dropped = {
             let mut state = lock_recover(&self.jobs.state);
             state.stopping = true;
-            state.queue.clear();
-        }
+            std::mem::take(&mut state.queue)
+        };
+        drop(dropped);
         self.jobs.cvar.notify_all();
         lock_recover(&self.conns).clear();
     }

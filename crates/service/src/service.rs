@@ -1,10 +1,14 @@
 //! The daemon's request brain, independent of any transport: feed it a
-//! request line, get response bytes. The TCP event loop, the benches, and
-//! the in-process tests all go through [`PlanService`].
+//! request line, get response bytes. There is exactly one request path,
+//! [`PlanService::submit`]: the TCP event loop calls it with a delivery
+//! into its completion queue, and [`PlanService::handle_line`] — the entry
+//! point of the benches and in-process tests — submits with a one-slot
+//! channel and blocks on it. Ring routing, counters, spans and response
+//! bytes are therefore the same in process and on the wire.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use hap_cluster::ClusterDelta;
@@ -29,11 +33,57 @@ use crate::telemetry::{
     ProfileIndex, Telemetry,
 };
 
-/// A transport callback receiving rendered response bytes for a request
-/// whose synthesis resolved after [`PlanService::submit`] returned, plus
-/// the request's trace (sealed by the transport once the bytes flush).
-/// Runs on the resolving worker's thread; must be quick (enqueue + wake).
-pub(crate) type Deliver = Box<dyn FnOnce(Vec<u8>, Option<PendingTrace>) + Send>;
+/// The transport callback behind a [`Deliver`].
+type SendFn = Box<dyn FnOnce(String, Option<PendingTrace>) + Send>;
+
+/// A transport's hand-off for a response that resolves after
+/// [`PlanService::submit`] returned [`Submission::Pending`]: it receives
+/// the response frames plus the request's trace (sealed by the transport
+/// once the bytes flush). Runs on the resolving thread; must be quick
+/// (enqueue + wake).
+///
+/// Once a request leaves `submit` on a continuation (a dispatch subscriber
+/// or a peer job) its delivery is *owed*: dropped without running — a
+/// peer pool stopped with the job still queued — it answers anyway, with
+/// a typed `shutdown` error frame, so no transport waits forever.
+pub(crate) struct Deliver {
+    send: Option<SendFn>,
+    /// The id of the request owed an answer, once it is owed.
+    owed: Option<u64>,
+}
+
+impl Deliver {
+    pub(crate) fn new(send: impl FnOnce(String, Option<PendingTrace>) + Send + 'static) -> Deliver {
+        Deliver { send: Some(Box::new(send)), owed: None }
+    }
+
+    /// Marks the answer to request `id` as owed through this delivery.
+    fn owe(mut self, id: u64) -> Deliver {
+        self.owed = Some(id);
+        self
+    }
+
+    /// Hands a complete response to whoever waits for it: back to
+    /// `submit`'s caller as [`Submission::Ready`] while nothing is owed
+    /// yet, through the delivery once it is.
+    fn answer(mut self, bytes: String, trace: Option<PendingTrace>) -> Submission {
+        match (self.owed, self.send.take()) {
+            (Some(_), Some(send)) => {
+                send(bytes, trace);
+                Submission::Pending
+            }
+            _ => Submission::Ready { bytes, shutdown: false, trace },
+        }
+    }
+}
+
+impl Drop for Deliver {
+    fn drop(&mut self) {
+        if let (Some(id), Some(send)) = (self.owed, self.send.take()) {
+            send(frame_line(&error_frame(id, &dispatch::shutting_down())), None);
+        }
+    }
+}
 
 /// How a plan response was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,9 +110,10 @@ impl PlanSource {
 pub(crate) enum Submission {
     /// The response is complete: one or more newline-terminated frames,
     /// plus the request's trace for the transport to seal at flush time.
-    Ready { bytes: Vec<u8>, shutdown: bool, trace: Option<PendingTrace> },
-    /// A synthesis is in flight; the `deliver` callback will produce the
-    /// bytes (and the trace) on a worker thread when it resolves.
+    Ready { bytes: String, shutdown: bool, trace: Option<PendingTrace> },
+    /// The response is owed: the [`Deliver`] receives the frames (and the
+    /// trace) from a synthesis subscriber or a peer job — on another
+    /// thread, or already inline when the slot had resolved.
     Pending,
 }
 
@@ -71,10 +122,15 @@ fn seal(tb: Option<TraceBuilder>, outcome: Outcome) -> Option<PendingTrace> {
     tb.map(|builder| PendingTrace { builder, outcome })
 }
 
-/// Runs `f` under an `encode` span.
-fn encode_span<T>(tb: &mut Option<TraceBuilder>, f: impl FnOnce() -> T) -> T {
+/// A complete single-frame response that does not shut the daemon down.
+fn ready(bytes: String, tb: Option<TraceBuilder>, outcome: Outcome) -> Submission {
+    Submission::Ready { bytes, shutdown: false, trace: seal(tb, outcome) }
+}
+
+/// Runs `f` under a `kind` span.
+fn span<T>(tb: &mut Option<TraceBuilder>, kind: SpanKind, f: impl FnOnce() -> T) -> T {
     if let Some(tb) = tb.as_mut() {
-        tb.begin(SpanKind::Encode);
+        tb.begin(kind);
     }
     let out = f();
     if let Some(tb) = tb.as_mut() {
@@ -83,15 +139,10 @@ fn encode_span<T>(tb: &mut Option<TraceBuilder>, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Renders a response frame under an `encode` span.
-fn render_span(tb: &mut Option<TraceBuilder>, frame: Value) -> String {
-    encode_span(tb, || frame.render())
+/// Runs `f` under an `encode` span.
+fn encode_span<T>(tb: &mut Option<TraceBuilder>, f: impl FnOnce() -> T) -> T {
+    span(tb, SpanKind::Encode, f)
 }
-
-/// Everything a successful replan resolves to: where the plan came from,
-/// the rebased fingerprint, the plan itself, the instruction-level diff
-/// against the prior plan, and (when requested) the synthesis profile.
-type ReplanValues = (PlanSource, u64, Arc<CachedPlan>, PlanDiff, Option<Arc<SynthProfile>>);
 
 /// Fetches the recorded synthesis profile for `fp` when anyone wants it:
 /// as the response's `"profile"` field (`want`) and/or folded into the
@@ -132,6 +183,100 @@ fn attach_slot_spans(tb: &mut Option<TraceBuilder>, slot: &Slot) {
     } else if resolved > 0 {
         tb.span(SpanKind::QueueWait, queued, resolved);
     }
+}
+
+/// Everything a plan-bearing response needs besides the plan itself.
+struct Answer {
+    id: u64,
+    fp: u64,
+    flags: PlanFlags,
+    /// A replan's prior fingerprint and plan: the synthesis's warm seed
+    /// and the base of the response's `replan` diff.
+    prior: Option<(u64, Arc<CachedPlan>)>,
+}
+
+impl Answer {
+    /// Chunk size of the response stream, when the request streams.
+    fn stream_chunk(&self, shared: &Shared) -> Option<usize> {
+        self.flags.stream.then_some(shared.config.stream_chunk_bytes)
+    }
+
+    /// Renders a resolved plan — or its error — as response frames, with
+    /// the trace outcome. `synthesized`: this request waited on the
+    /// synthesis, whose profile then folds into its trace.
+    fn render(
+        &self,
+        shared: &Shared,
+        source: PlanSource,
+        result: &PlanResult,
+        synthesized: bool,
+        tb: &mut Option<TraceBuilder>,
+    ) -> (String, Outcome) {
+        let plan = match result {
+            Ok(plan) => plan,
+            Err(err) => {
+                let bytes = encode_span(tb, || error_line(shared, self.id, err));
+                return (bytes, outcome_for_error(err));
+            }
+        };
+        if self.prior.is_some() {
+            shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
+        }
+        let profile = profile_for(shared, self.fp, self.flags.profile, synthesized, tb);
+        let diff = self.prior.as_ref().map(|(prior_fp, prior)| replan_diff(*prior_fp, prior, plan));
+        let outcome =
+            if self.prior.is_some() { Outcome::Replan } else { outcome_for_source(source) };
+        let stream_chunk = self.stream_chunk(shared);
+        let bytes = encode_span(tb, || {
+            plan_frames(
+                self.id,
+                self.fp,
+                source,
+                plan,
+                diff.as_ref(),
+                profile.as_deref(),
+                stream_chunk,
+            )
+        });
+        (bytes, outcome)
+    }
+}
+
+/// The one miss tail — a `plan` or `replan` miss answered locally, and
+/// every proxy fallback: attach to the single-flight dispatch, answer at
+/// once when that resolved without queueing (cache race, shed, shutdown),
+/// else subscribe a renderer that answers when the synthesis resolves.
+fn answer_miss(
+    shared: &Arc<Shared>,
+    answer: Answer,
+    triple: &Arc<RequestTriple>,
+    mut tb: Option<TraceBuilder>,
+    deliver: Deliver,
+) -> Submission {
+    let warm = answer.prior.as_ref().map(|(_, plan)| plan.clone());
+    let (source, slot) =
+        match dispatch::attach(shared, answer.fp, triple, answer.flags.ttl_ms, warm) {
+            Attach::Resolved(source, result) => {
+                let (bytes, outcome) = answer.render(shared, source, &result, false, &mut tb);
+                return deliver.answer(bytes, seal(tb, outcome));
+            }
+            Attach::Pending(source, slot) => (source, slot),
+        };
+    // Each request renders with its own id, source and flags when the
+    // shared synthesis resolves.
+    let deliver = deliver.owe(answer.id);
+    let shared = shared.clone();
+    let sub_slot = slot.clone();
+    dispatch::subscribe(
+        &slot,
+        Box::new(move |result: &PlanResult| {
+            let mut tb = tb;
+            attach_slot_spans(&mut tb, &sub_slot);
+            let (bytes, outcome) = answer.render(&shared, source, result, true, &mut tb);
+            deliver.answer(bytes, seal(tb, outcome));
+        }),
+    );
+    Submission::Pending
 }
 
 /// The multi-tenant planning service: content-addressed cache,
@@ -243,694 +388,298 @@ impl PlanService {
     /// Handles one request line; returns the response line (no trailing
     /// newline) and whether the request asked the daemon to shut down.
     ///
-    /// This is the synchronous path: a cache miss parks the calling
-    /// thread until the synthesis resolves. `"stream": true` is ignored
-    /// here — streaming is transport framing, and this entry point *is*
-    /// the canonical unstreamed encoding. The request's trace is sealed
-    /// here too (there is no later flush to wait for).
+    /// A thin wrapper over [`PlanService::submit`], the one request path,
+    /// so ring routing, counters, spans and response bytes are exactly
+    /// what a socket client gets: the request is submitted with a delivery
+    /// into a one-slot channel, and a miss blocks the calling thread on
+    /// that channel until its response is rendered. The response is never
+    /// streamed — this entry point *is* the canonical unstreamed encoding —
+    /// and the request's trace is sealed here (there is no later flush to
+    /// wait for).
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let mut tb = self.shared.telemetry.builder();
-        match self.handle_parsed(line, &mut tb) {
-            Ok((rendered, outcome, shutdown)) => {
-                self.shared.telemetry.finish(tb, outcome);
-                (rendered, shutdown)
+        let (tx, rx) = mpsc::sync_channel(1);
+        let deliver = Deliver::new(move |bytes, trace| {
+            let _ = tx.send((bytes, trace));
+        });
+        let tb = self.shared.telemetry.builder();
+        let (mut bytes, shutdown, trace) = match self.submit(line, tb, deliver, false) {
+            Submission::Ready { bytes, shutdown, trace } => (bytes, shutdown, trace),
+            Submission::Pending => {
+                let (bytes, trace) = rx.recv().expect("an owed delivery always answers");
+                (bytes, false, trace)
             }
-            Err((id, err)) => {
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let rendered = encode_span(&mut tb, || error_frame(id, &err).render());
-                self.shared.telemetry.finish(tb, outcome_for_error(&err));
-                (rendered, false)
-            }
+        };
+        if let Some(trace) = trace {
+            self.shared.telemetry.finish_pending(trace);
         }
-    }
-
-    fn handle_parsed(
-        &self,
-        line: &str,
-        tb: &mut Option<TraceBuilder>,
-    ) -> Result<(String, Outcome, bool), (u64, WireError)> {
-        if let Some(tb) = tb.as_mut() {
-            tb.begin(SpanKind::Decode);
-        }
-        let req = Request::parse(line)?;
-        if let Some(tb) = tb.as_mut() {
-            tb.set_request(req.id, req.op.verb());
-        }
-        match req.op {
-            ReqOp::Plan(plan) => {
-                let (source, fp, result, profile) = self.plan_values_traced(
-                    &plan.graph,
-                    &plan.cluster,
-                    &plan.options,
-                    plan.ttl_ms,
-                    plan.profile,
-                    tb,
-                );
-                let plan_arc = result.map_err(|e| (req.id, e))?;
-                let line = encode_span(tb, || {
-                    plan_line(req.id, fp, source, &plan_arc, None, profile.as_deref())
-                });
-                Ok((line, outcome_for_source(source), false))
-            }
-            ReqOp::Replan(rp) => {
-                let (source, fp, plan, diff, profile) = self
-                    .replan_values_traced(rp.prior, &rp.delta, rp.ttl_ms, rp.profile, tb)
-                    .map_err(|e| (req.id, e))?;
-                let line = encode_span(tb, || {
-                    plan_line(req.id, fp, source, &plan, Some(&diff), profile.as_deref())
-                });
-                Ok((line, Outcome::Replan, false))
-            }
-            ReqOp::Stats => Ok((render_span(tb, self.stats_frame(req.id)), Outcome::Ok, false)),
-            ReqOp::Metrics => Ok((render_span(tb, self.metrics_frame(req.id)), Outcome::Ok, false)),
-            ReqOp::Trace { n, min_ms } => {
-                Ok((render_span(tb, self.trace_frame(req.id, n, min_ms)), Outcome::Ok, false))
-            }
-            ReqOp::Ring(install) => {
-                Ok((render_span(tb, self.ring_frame(req.id, install)), Outcome::Ok, false))
-            }
-            ReqOp::Replicate(rep) => {
-                Ok((render_span(tb, self.replicate_frame(req.id, *rep)), Outcome::Ok, false))
-            }
-            ReqOp::Shutdown => Ok((render_span(tb, ok_frame(req.id)), Outcome::Ok, true)),
-        }
+        // One unstreamed frame: drop its newline.
+        bytes.pop();
+        (bytes, shutdown)
     }
 
     /// Remembers the request triple behind a fingerprint so a later
     /// `replan` can rebuild it. When already recorded, only touches the
     /// entry (one bit, O(1)) so a hot prior outlives one-off requests.
-    fn record_request(&self, fp: u64, graph: &Value, cluster: &Value, options: &Value) {
+    fn record_request(&self, fp: u64, triple: &Arc<RequestTriple>) {
         let mut index = lock_recover(&self.shared.replans);
         if !index.touch(fp) {
-            index.record(
-                fp,
-                Arc::new(RequestTriple {
-                    graph: graph.clone(),
-                    cluster: cluster.clone(),
-                    options: options.clone(),
-                }),
-            );
+            index.record(fp, triple.clone());
         }
     }
 
-    /// The planning core: cache lookup, single-flight dedup, queue + wait.
-    /// Exposed for in-process callers (tests, benches) that want to skip
-    /// the socket but exercise the identical path.
+    /// The cache probe of every plan-bearing request, counted as a hit or
+    /// a miss, under a `cache_lookup` span.
+    fn lookup(&self, fp: u64, tb: &mut Option<TraceBuilder>) -> Option<Arc<CachedPlan>> {
+        span(tb, SpanKind::CacheLookup, || {
+            let plan = self.shared.cache.get(fp);
+            let counter = if plan.is_some() {
+                &self.shared.counters.hits
+            } else {
+                &self.shared.counters.misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            plan
+        })
+    }
+
+    /// The planning core for in-process callers that want the plan itself
+    /// rather than response bytes: the cache lookup, single-flight
+    /// dispatch and subscription a `plan` request runs, without ring
+    /// routing or rendering.
     pub fn plan_values(
         &self,
         graph: &Value,
         cluster: &Value,
         options: &Value,
     ) -> (PlanSource, u64, PlanResult) {
-        self.plan_values_with_ttl(graph, cluster, options, None)
-    }
-
-    /// [`PlanService::plan_values`] with a per-request cache TTL.
-    pub fn plan_values_with_ttl(
-        &self,
-        graph: &Value,
-        cluster: &Value,
-        options: &Value,
-        ttl_ms: Option<u64>,
-    ) -> (PlanSource, u64, PlanResult) {
-        let (source, fp, result, _) =
-            self.plan_values_traced(graph, cluster, options, ttl_ms, false, &mut None);
-        (source, fp, result)
-    }
-
-    /// The traced planning core: [`PlanService::plan_values_with_ttl`]
-    /// plus span bookkeeping and the optional synthesis profile
-    /// (`want_profile` = the request carried `"profile": true`).
-    fn plan_values_traced(
-        &self,
-        graph: &Value,
-        cluster: &Value,
-        options: &Value,
-        ttl_ms: Option<u64>,
-        want_profile: bool,
-        tb: &mut Option<TraceBuilder>,
-    ) -> (PlanSource, u64, PlanResult, Option<Arc<SynthProfile>>) {
-        let shared = &self.shared;
+        let triple = Arc::new(RequestTriple {
+            graph: graph.clone(),
+            cluster: cluster.clone(),
+            options: options.clone(),
+        });
         let fp = request_fingerprint_values(graph, cluster, options);
-        self.record_request(fp, graph, cluster, options);
-        if let Some(tb) = tb.as_mut() {
-            tb.begin(SpanKind::CacheLookup);
+        self.record_request(fp, &triple);
+        if let Some(plan) = self.lookup(fp, &mut None) {
+            return (PlanSource::Cache, fp, Ok(plan));
         }
-        if let Some(plan) = shared.cache.get(fp) {
-            shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(tb) = tb.as_mut() {
-                tb.end();
+        match dispatch::attach(&self.shared, fp, &triple, None, None) {
+            Attach::Resolved(source, result) => (source, fp, result),
+            Attach::Pending(source, slot) => {
+                let (tx, rx) = mpsc::sync_channel(1);
+                dispatch::subscribe(
+                    &slot,
+                    Box::new(move |result: &PlanResult| {
+                        let _ = tx.send(result.clone());
+                    }),
+                );
+                (source, fp, rx.recv().expect("every queued job resolves its slot"))
             }
-            let profile = profile_for(shared, fp, want_profile, false, tb);
-            return (PlanSource::Cache, fp, Ok(plan), profile);
         }
-        shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(tb) = tb.as_mut() {
-            tb.end();
-        }
-        let (source, result) =
-            match dispatch::attach(shared, fp, graph, cluster, options, ttl_ms, None) {
-                Attach::Resolved(source, result) => (source, result),
-                Attach::Leader(slot) => {
-                    let result = dispatch::wait_sync(&slot);
-                    attach_slot_spans(tb, &slot);
-                    (PlanSource::Synthesized, result)
-                }
-                Attach::Follower(slot) => {
-                    let result = dispatch::wait_sync(&slot);
-                    attach_slot_spans(tb, &slot);
-                    (PlanSource::Coalesced, result)
-                }
-            };
-        let profile = match &result {
-            Ok(_) => profile_for(shared, fp, want_profile, true, tb),
-            Err(_) => None,
-        };
-        (source, fp, result, profile)
     }
 
-    /// Replans a previously planned request after a cluster change: the
-    /// prior plan (named by its request fingerprint) is re-costed on the
-    /// post-delta cluster and seeds the synthesis as its incumbent, so an
-    /// unchanged-optimal plan is confirmed at replay cost instead of
-    /// re-searched. Returns the plan for the post-delta request — always
-    /// bit-identical to what cold synthesis on that cluster would produce
-    /// (warm seeds only survive exact cost ties) — plus the machine-
-    /// readable [`PlanDiff`] against the prior plan.
-    pub fn replan_values(
-        &self,
-        prior_fp: u64,
-        delta: &ClusterDelta,
-    ) -> Result<(PlanSource, u64, Arc<CachedPlan>, PlanDiff), WireError> {
-        self.replan_values_with_ttl(prior_fp, delta, None)
-    }
-
-    /// [`PlanService::replan_values`] with a per-request cache TTL.
-    pub fn replan_values_with_ttl(
-        &self,
-        prior_fp: u64,
-        delta: &ClusterDelta,
-        ttl_ms: Option<u64>,
-    ) -> Result<(PlanSource, u64, Arc<CachedPlan>, PlanDiff), WireError> {
-        self.replan_values_traced(prior_fp, delta, ttl_ms, false, &mut None)
-            .map(|(source, fp, plan, diff, _)| (source, fp, plan, diff))
-    }
-
-    /// The traced replanning core (see [`PlanService::plan_values_traced`]).
-    fn replan_values_traced(
-        &self,
-        prior_fp: u64,
-        delta: &ClusterDelta,
-        ttl_ms: Option<u64>,
-        want_profile: bool,
-        tb: &mut Option<TraceBuilder>,
-    ) -> Result<ReplanValues, WireError> {
-        let shared = &self.shared;
-        let prep = replan::prepare(shared, prior_fp, delta)?;
-        if let Some(tb) = tb.as_mut() {
-            tb.begin(SpanKind::CacheLookup);
-        }
-        if let Some(plan) = shared.cache.get(prep.fp) {
-            shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-            shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-            if let Some(tb) = tb.as_mut() {
-                tb.end();
-            }
-            let profile = profile_for(shared, prep.fp, want_profile, false, tb);
-            let diff = replan_diff(prior_fp, &prep.prior, &plan);
-            return Ok((PlanSource::Cache, prep.fp, plan, diff, profile));
-        }
-        shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(tb) = tb.as_mut() {
-            tb.end();
-        }
-        let (source, result) = match dispatch::attach(
-            shared,
-            prep.fp,
-            &prep.triple.graph,
-            &prep.triple.cluster,
-            &prep.triple.options,
-            ttl_ms,
-            Some(prep.prior.clone()),
-        ) {
-            Attach::Resolved(source, result) => (source, result),
-            Attach::Leader(slot) => {
-                let result = dispatch::wait_sync(&slot);
-                attach_slot_spans(tb, &slot);
-                (PlanSource::Synthesized, result)
-            }
-            Attach::Follower(slot) => {
-                let result = dispatch::wait_sync(&slot);
-                attach_slot_spans(tb, &slot);
-                (PlanSource::Coalesced, result)
-            }
-        };
-        let plan = result?;
-        shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-        let profile = profile_for(shared, prep.fp, want_profile, true, tb);
-        let diff = replan_diff(prior_fp, &prep.prior, &plan);
-        Ok((source, prep.fp, plan, diff, profile))
-    }
-
-    /// The asynchronous request path used by the event loop: never blocks
-    /// the calling thread on a synthesis. Inline-answerable requests
-    /// (cache hits, stats, shutdown, malformed frames, shed) return
-    /// [`Submission::Ready`]; a queued or joined synthesis returns
-    /// [`Submission::Pending`] and `deliver` later receives the rendered
-    /// response bytes on the resolving worker's thread.
+    /// The request path: never blocks the calling thread on a synthesis.
+    /// Inline-answerable requests (cache hits, stats, shutdown, malformed
+    /// frames, shed, redirects) return [`Submission::Ready`]; a queued or
+    /// joined synthesis, or a proxy to the ring owner, returns
+    /// [`Submission::Pending`] and `deliver` later receives the response.
     ///
-    /// `tb` is the transport's trace builder (already carrying the
-    /// `accept`/`frame` spans); it travels with the request and comes
-    /// back — as [`Submission::Ready::trace`] or through `deliver` — for
-    /// the transport to seal once the bytes flush.
+    /// `tb` is the transport's trace builder (carrying the `accept`/`frame`
+    /// spans on a socket); it travels with the request and comes back — as
+    /// [`Submission::Ready::trace`] or through `deliver` — for the
+    /// transport to seal once the bytes flush. `may_stream`: the transport
+    /// honors a request's `"stream": true` (the event loop does,
+    /// [`PlanService::handle_line`] does not).
     pub(crate) fn submit(
         &self,
         line: &str,
         mut tb: Option<TraceBuilder>,
         deliver: Deliver,
+        may_stream: bool,
     ) -> Submission {
         if let Some(tb) = tb.as_mut() {
             tb.begin(SpanKind::Decode);
         }
         let req = match Request::parse(line) {
             Ok(req) => req,
-            Err((id, err)) => {
-                let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                return Submission::Ready {
-                    bytes,
-                    shutdown: false,
-                    trace: seal(tb, outcome_for_error(&err)),
-                };
-            }
+            Err((id, err)) => return self.ready_error(id, &err, tb),
         };
         let id = req.id;
         if let Some(tb) = tb.as_mut() {
             tb.set_request(id, req.op.verb());
         }
         match req.op {
-            ReqOp::Stats => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.stats_frame(id)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
+            ReqOp::Plan(mut plan) => {
+                plan.flags.stream &= may_stream;
+                self.submit_plan(id, *plan, tb, deliver)
             }
-            ReqOp::Metrics => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.metrics_frame(id)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
+            ReqOp::Replan(mut rp) => {
+                rp.flags.stream &= may_stream;
+                self.submit_replan(id, *rp, tb, deliver)
             }
-            ReqOp::Trace { n, min_ms } => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.trace_frame(id, n, min_ms)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Ring(install) => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.ring_frame(id, install)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Replicate(rep) => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.replicate_frame(id, *rep)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Shutdown => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&ok_frame(id)));
-                Submission::Ready { bytes, shutdown: true, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Plan(plan) => {
-                let shared = &self.shared;
-                let stream_chunk = plan.stream.then_some(shared.config.stream_chunk_bytes);
-                let want_profile = plan.profile;
-                let fp = request_fingerprint_values(&plan.graph, &plan.cluster, &plan.options);
-                self.record_request(fp, &plan.graph, &plan.cluster, &plan.options);
-                if let Some(tb) = tb.as_mut() {
-                    tb.begin(SpanKind::CacheLookup);
-                }
-                if let Some(cached) = shared.cache.get(fp) {
-                    shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tb) = tb.as_mut() {
-                        tb.end();
-                    }
-                    let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                    let bytes = encode_span(&mut tb, || {
-                        plan_bytes(
-                            id,
-                            fp,
-                            PlanSource::Cache,
-                            &cached,
-                            None,
-                            profile.as_deref(),
-                            stream_chunk,
-                        )
-                    });
-                    return Submission::Ready {
-                        bytes,
-                        shutdown: false,
-                        trace: seal(tb, Outcome::Hit),
-                    };
-                }
-                shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(tb) = tb.as_mut() {
-                    tb.end();
-                }
-                // Cluster routing: a miss on a fingerprint another daemon
-                // owns is proxied to that owner (ring-wide single-flight:
-                // only the owner synthesizes). A request stamped with a
-                // *different* membership epoch than ours gets a typed
-                // `not_owner` redirect instead — routing disagreements
-                // bounce back to the client rather than chaining
-                // daemon-to-daemon forwards.
-                if let Some((ring, self_addr)) = shared.cluster.current() {
-                    if let Some(owner) =
-                        ring.primary(fp).filter(|p| *p != self_addr).map(str::to_string)
-                    {
-                        if plan.epoch.is_some_and(|stamp| stamp != ring.epoch()) {
-                            shared.counters.redirected.fetch_add(1, Ordering::Relaxed);
-                            let err = WireError::not_owner(owner, ring.epoch());
-                            let bytes =
-                                encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-                            return Submission::Ready {
-                                bytes,
-                                shutdown: false,
-                                trace: seal(tb, outcome_for_error(&err)),
-                            };
-                        }
-                        shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
-                        self.proxy_plan(
-                            id,
-                            fp,
-                            plan,
-                            owner,
-                            ring.epoch(),
-                            stream_chunk,
-                            tb,
-                            deliver,
-                        );
-                        return Submission::Pending;
-                    }
-                }
-                let attach = dispatch::attach(
-                    shared,
-                    fp,
-                    &plan.graph,
-                    &plan.cluster,
-                    &plan.options,
-                    plan.ttl_ms,
-                    None,
-                );
-                let (slot, source) = match attach {
-                    // A leadership cache race resolves as a hit, exactly
-                    // like the sync path's re-probe.
-                    Attach::Resolved(source, Ok(cached)) => {
-                        let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                        let bytes = encode_span(&mut tb, || {
-                            plan_bytes(
-                                id,
-                                fp,
-                                source,
-                                &cached,
-                                None,
-                                profile.as_deref(),
-                                stream_chunk,
-                            )
-                        });
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_source(source)),
-                        };
-                    }
-                    Attach::Resolved(_, Err(err)) => {
-                        let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                    Attach::Leader(slot) => (slot, PlanSource::Synthesized),
-                    Attach::Follower(slot) => (slot, PlanSource::Coalesced),
-                };
-                // Subscribe a response renderer: each request renders with
-                // its own id, source, and streaming preference when the
-                // shared synthesis resolves.
-                let sub_shared = self.shared.clone();
-                let sub_slot = slot.clone();
-                dispatch::subscribe(
-                    &slot,
-                    Box::new(move |result: &PlanResult| {
-                        let mut tb = tb;
-                        attach_slot_spans(&mut tb, &sub_slot);
-                        let (bytes, outcome) = match result {
-                            Ok(plan) => {
-                                let profile =
-                                    profile_for(&sub_shared, fp, want_profile, true, &mut tb);
-                                let bytes = encode_span(&mut tb, || {
-                                    plan_bytes(
-                                        id,
-                                        fp,
-                                        source,
-                                        plan,
-                                        None,
-                                        profile.as_deref(),
-                                        stream_chunk,
-                                    )
-                                });
-                                (bytes, outcome_for_source(source))
-                            }
-                            Err(err) => {
-                                sub_shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                                let bytes =
-                                    encode_span(&mut tb, || frame_bytes(&error_frame(id, err)));
-                                (bytes, outcome_for_error(err))
-                            }
-                        };
-                        deliver(bytes, seal(tb, outcome));
-                    }),
-                );
-                Submission::Pending
-            }
-            ReqOp::Replan(rp) => {
-                let shared = &self.shared;
-                let stream_chunk = rp.stream.then_some(shared.config.stream_chunk_bytes);
-                let want_profile = rp.profile;
-                // Cluster routing keys on the *prior* fingerprint: its
-                // ring owner holds the request triple and plan (pushed
-                // along with every replication), so the rebase runs there.
-                let route = shared.cluster.current().and_then(|(ring, self_addr)| {
-                    ring.primary(rp.prior)
-                        .filter(|p| *p != self_addr)
-                        .map(|owner| (owner.to_string(), ring.epoch()))
-                });
-                if let Some((owner, ring_epoch)) = &route {
-                    if rp.epoch.is_some_and(|stamp| stamp != *ring_epoch) {
-                        shared.counters.redirected.fetch_add(1, Ordering::Relaxed);
-                        let err = WireError::not_owner(owner.clone(), *ring_epoch);
-                        let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                }
-                let prep = match replan::prepare(shared, rp.prior, &rp.delta) {
-                    Ok(prep) => prep,
-                    Err(err) => {
-                        // A fingerprint this daemon never saw (or let
-                        // expire) may still live at its ring owner.
-                        if err.kind == UNKNOWN_FINGERPRINT_KIND {
-                            if let Some((owner, ring_epoch)) = route {
-                                shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
-                                self.proxy_replan(
-                                    id,
-                                    rp,
-                                    owner,
-                                    ring_epoch,
-                                    stream_chunk,
-                                    None,
-                                    tb,
-                                    deliver,
-                                );
-                                return Submission::Pending;
-                            }
-                        }
-                        let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                };
-                let prior_fp = rp.prior;
-                let fp = prep.fp;
-                if let Some(tb) = tb.as_mut() {
-                    tb.begin(SpanKind::CacheLookup);
-                }
-                if let Some(cached) = shared.cache.get(fp) {
-                    shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tb) = tb.as_mut() {
-                        tb.end();
-                    }
-                    let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                    let diff = replan_diff(prior_fp, &prep.prior, &cached);
-                    let bytes = encode_span(&mut tb, || {
-                        plan_bytes(
-                            id,
-                            fp,
-                            PlanSource::Cache,
-                            &cached,
-                            Some(&diff),
-                            profile.as_deref(),
-                            stream_chunk,
-                        )
-                    });
-                    return Submission::Ready {
-                        bytes,
-                        shutdown: false,
-                        trace: seal(tb, Outcome::Replan),
-                    };
-                }
-                shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(tb) = tb.as_mut() {
-                    tb.end();
-                }
-                // The rebased plan is not cached here and the prior's ring
-                // owner is another daemon: the synthesis belongs to the
-                // owner (ring-wide single-flight). The local preparation
-                // rides along as the fallback if the owner is unreachable.
-                if let Some((owner, ring_epoch)) = route {
-                    shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
-                    self.proxy_replan(
-                        id,
-                        rp,
-                        owner,
-                        ring_epoch,
-                        stream_chunk,
-                        Some(prep),
-                        tb,
-                        deliver,
-                    );
-                    return Submission::Pending;
-                }
-                let attach = dispatch::attach(
-                    shared,
-                    fp,
-                    &prep.triple.graph,
-                    &prep.triple.cluster,
-                    &prep.triple.options,
-                    rp.ttl_ms,
-                    Some(prep.prior.clone()),
-                );
-                let (slot, source) = match attach {
-                    Attach::Resolved(source, Ok(cached)) => {
-                        shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                        let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                        let diff = replan_diff(prior_fp, &prep.prior, &cached);
-                        let bytes = encode_span(&mut tb, || {
-                            plan_bytes(
-                                id,
-                                fp,
-                                source,
-                                &cached,
-                                Some(&diff),
-                                profile.as_deref(),
-                                stream_chunk,
-                            )
-                        });
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, Outcome::Replan),
-                        };
-                    }
-                    Attach::Resolved(_, Err(err)) => {
-                        let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                    Attach::Leader(slot) => (slot, PlanSource::Synthesized),
-                    Attach::Follower(slot) => (slot, PlanSource::Coalesced),
-                };
-                let sub_shared = self.shared.clone();
-                let sub_slot = slot.clone();
-                let prior_plan = prep.prior.clone();
-                dispatch::subscribe(
-                    &slot,
-                    Box::new(move |result: &PlanResult| {
-                        let mut tb = tb;
-                        attach_slot_spans(&mut tb, &sub_slot);
-                        let (bytes, outcome) = match result {
-                            Ok(plan) => {
-                                sub_shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                                let profile =
-                                    profile_for(&sub_shared, fp, want_profile, true, &mut tb);
-                                let diff = replan_diff(prior_fp, &prior_plan, plan);
-                                let bytes = encode_span(&mut tb, || {
-                                    plan_bytes(
-                                        id,
-                                        fp,
-                                        source,
-                                        plan,
-                                        Some(&diff),
-                                        profile.as_deref(),
-                                        stream_chunk,
-                                    )
-                                });
-                                (bytes, Outcome::Replan)
-                            }
-                            Err(err) => {
-                                sub_shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                                let bytes =
-                                    encode_span(&mut tb, || frame_bytes(&error_frame(id, err)));
-                                (bytes, outcome_for_error(err))
-                            }
-                        };
-                        deliver(bytes, seal(tb, outcome));
-                    }),
-                );
-                Submission::Pending
+            ReqOp::Frame(op) => {
+                let shutdown = matches!(op, FrameOp::Shutdown);
+                let bytes = encode_span(&mut tb, || frame_line(&self.frame(id, op)));
+                Submission::Ready { bytes, shutdown, trace: seal(tb, Outcome::Ok) }
             }
         }
     }
 
-    pub(crate) fn render_error(&self, id: u64, err: &WireError) -> Vec<u8> {
-        self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        frame_bytes(&error_frame(id, err))
+    fn submit_plan(
+        &self,
+        id: u64,
+        plan: PlanRequest,
+        mut tb: Option<TraceBuilder>,
+        deliver: Deliver,
+    ) -> Submission {
+        let PlanRequest { triple, flags } = plan;
+        let fp = request_fingerprint_values(&triple.graph, &triple.cluster, &triple.options);
+        self.record_request(fp, &triple);
+        let answer = Answer { id, fp, flags, prior: None };
+        if let Some(cached) = self.lookup(fp, &mut tb) {
+            let (bytes, outcome) =
+                answer.render(&self.shared, PlanSource::Cache, &Ok(cached), false, &mut tb);
+            return ready(bytes, tb, outcome);
+        }
+        // Cluster routing: a miss on a fingerprint another daemon owns is
+        // proxied to that owner (ring-wide single-flight: only the owner
+        // synthesizes).
+        if let Some((owner, epoch)) = self.route(fp) {
+            if flags.epoch.is_some_and(|stamp| stamp != epoch) {
+                return self.redirect(id, owner, epoch, tb);
+            }
+            let body = vec![
+                ("graph", triple.graph.clone()),
+                ("cluster", triple.cluster.clone()),
+                ("options", triple.options.clone()),
+            ];
+            let forward = forward_line("plan", id, body, flags, epoch);
+            return self.proxy(owner, forward, answer, Ok(triple), tb, deliver);
+        }
+        answer_miss(&self.shared, answer, &triple, tb, deliver)
     }
 
-    fn stats_frame(&self, id: u64) -> Value {
-        Value::obj(vec![
-            ("id", Value::int(id)),
-            ("ok", Value::Bool(true)),
-            ("stats", self.stats().encode()),
-        ])
+    fn submit_replan(
+        &self,
+        id: u64,
+        rp: ReplanRequest,
+        mut tb: Option<TraceBuilder>,
+        deliver: Deliver,
+    ) -> Submission {
+        // Cluster routing keys on the *prior* fingerprint: its ring owner
+        // holds the request triple and plan (pushed along with every
+        // replication), so the rebase runs there.
+        let route = self.route(rp.prior);
+        if let Some((owner, epoch)) = &route {
+            if rp.flags.epoch.is_some_and(|stamp| stamp != *epoch) {
+                return self.redirect(id, owner.clone(), *epoch, tb);
+            }
+        }
+        let forward = |epoch| {
+            let body = vec![
+                ("prior", Value::Str(render_fingerprint(rp.prior))),
+                ("delta", rp.delta.encode()),
+            ];
+            forward_line("replan", id, body, rp.flags, epoch)
+        };
+        let prep = match replan::prepare(&self.shared, rp.prior, &rp.delta) {
+            Ok(prep) => prep,
+            Err(err) => match route {
+                // A fingerprint this daemon never saw (or let expire) may
+                // still live at its ring owner.
+                Some((owner, epoch)) if err.kind == UNKNOWN_FINGERPRINT_KIND => {
+                    // Nothing to plan here: the owner's relay or the error
+                    // answers, so only the id and flags matter.
+                    let answer = Answer { id, fp: rp.prior, flags: rp.flags, prior: None };
+                    let unreachable = WireError::new(
+                        UNKNOWN_FINGERPRINT_KIND,
+                        format!(
+                            "no request recorded for {} here and its ring owner is \
+                             unreachable; plan it cold first",
+                            render_fingerprint(rp.prior)
+                        ),
+                    );
+                    return self.proxy(
+                        owner,
+                        forward(epoch),
+                        answer,
+                        Err(unreachable),
+                        tb,
+                        deliver,
+                    );
+                }
+                _ => return self.ready_error(id, &err, tb),
+            },
+        };
+        let answer =
+            Answer { id, fp: prep.fp, flags: rp.flags, prior: Some((rp.prior, prep.prior)) };
+        if let Some(cached) = self.lookup(prep.fp, &mut tb) {
+            let (bytes, outcome) =
+                answer.render(&self.shared, PlanSource::Cache, &Ok(cached), false, &mut tb);
+            return ready(bytes, tb, outcome);
+        }
+        // The rebased plan is not cached here and the prior's ring owner is
+        // another daemon: the synthesis belongs to the owner (ring-wide
+        // single-flight). The local preparation rides along as the
+        // fallback if the owner is unreachable.
+        if let Some((owner, epoch)) = route {
+            return self.proxy(owner, forward(epoch), answer, Ok(prep.triple), tb, deliver);
+        }
+        answer_miss(&self.shared, answer, &prep.triple, tb, deliver)
     }
 
-    /// `{"id":N,"ok":true,"metrics":{...}}` — the latency histograms.
-    fn metrics_frame(&self, id: u64) -> Value {
-        Value::obj(vec![
-            ("id", Value::int(id)),
-            ("ok", Value::Bool(true)),
-            ("metrics", self.shared.telemetry.metrics_snapshot().encode()),
-        ])
+    /// The ring owner of `fp` and the ring's epoch, when a ring is
+    /// installed and the owner is another daemon.
+    fn route(&self, fp: u64) -> Option<(String, u64)> {
+        let (ring, self_addr) = self.shared.cluster.current()?;
+        let owner = ring.primary(fp).filter(|p| *p != self_addr)?.to_string();
+        Some((owner, ring.epoch()))
     }
 
-    /// `{"id":N,"ok":true,"traces":[...]}` — the most recent completed
-    /// request traces, newest first.
-    fn trace_frame(&self, id: u64, n: usize, min_ms: u64) -> Value {
-        let traces = self
-            .shared
-            .telemetry
-            .recent_traces(n, min_ms)
-            .iter()
-            .map(|t| encode_trace(t))
-            .collect();
-        Value::obj(vec![
-            ("id", Value::int(id)),
-            ("ok", Value::Bool(true)),
-            ("traces", Value::Arr(traces)),
-        ])
+    /// The typed `not_owner` answer to a request stamped with a different
+    /// membership epoch than ours: routing disagreements bounce back to
+    /// the client rather than chaining daemon-to-daemon forwards.
+    fn redirect(
+        &self,
+        id: u64,
+        owner: String,
+        epoch: u64,
+        mut tb: Option<TraceBuilder>,
+    ) -> Submission {
+        self.shared.counters.redirected.fetch_add(1, Ordering::Relaxed);
+        let err = WireError::not_owner(owner, epoch);
+        let bytes = encode_span(&mut tb, || frame_line(&error_frame(id, &err)));
+        ready(bytes, tb, outcome_for_error(&err))
+    }
+
+    /// An error response, counted.
+    fn ready_error(&self, id: u64, err: &WireError, mut tb: Option<TraceBuilder>) -> Submission {
+        let bytes = encode_span(&mut tb, || error_line(&self.shared, id, err));
+        ready(bytes, tb, outcome_for_error(err))
+    }
+
+    /// A counted error response for a frame that never became a request.
+    pub(crate) fn render_error(&self, id: u64, err: &WireError) -> String {
+        error_line(&self.shared, id, err)
+    }
+
+    /// The single response frame of a verb that neither plans nor routes.
+    fn frame(&self, id: u64, op: FrameOp) -> Value {
+        let ok = |key: &str, value: Value| {
+            Value::obj(vec![("id", Value::int(id)), ("ok", Value::Bool(true)), (key, value)])
+        };
+        match op {
+            FrameOp::Stats => ok("stats", self.stats().encode()),
+            // The latency histograms.
+            FrameOp::Metrics => ok("metrics", self.shared.telemetry.metrics_snapshot().encode()),
+            // The most recent completed request traces, newest first.
+            FrameOp::Trace { n, min_ms } => {
+                let traces = self.shared.telemetry.recent_traces(n, min_ms);
+                ok("traces", Value::Arr(traces.iter().map(|t| encode_trace(t)).collect()))
+            }
+            FrameOp::Ring(install) => self.ring_frame(id, install),
+            FrameOp::Replicate(rep) => self.replicate_frame(id, *rep),
+            FrameOp::Shutdown => ok_frame(id),
+        }
     }
 
     /// `{"id":N,"ok":true,"ring":{...},"self":...,"installed":...}` — the
@@ -970,15 +719,14 @@ impl PlanService {
         shared.counters.replicated_in.fetch_add(1, Ordering::Relaxed);
         // Trust the pushed triple only if it fingerprints back to the
         // record's key — the same rule boot recovery applies to the log.
-        let req = rep.req.filter(|req| {
-            RequestTriple::decode_req(req).is_some_and(|t| {
-                request_fingerprint_values(&t.graph, &t.cluster, &t.options) == rep.fp
-            })
-        });
-        if let Some(req) = &req {
-            if let Some(triple) = RequestTriple::decode_req(req) {
-                lock_recover(&shared.replans).record(rep.fp, Arc::new(triple));
-            }
+        let verified = rep
+            .req
+            .as_ref()
+            .and_then(RequestTriple::decode_req)
+            .filter(|t| request_fingerprint_values(&t.graph, &t.cluster, &t.options) == rep.fp);
+        let req = rep.req.filter(|_| verified.is_some());
+        if let Some(triple) = verified {
+            lock_recover(&shared.replans).record(rep.fp, Arc::new(triple));
         }
         let plan = Arc::new(rep.plan);
         let verdict = shared.cache.insert(rep.fp, plan.clone());
@@ -990,155 +738,50 @@ impl PlanService {
         ok_frame(id)
     }
 
-    /// Forwards a missed `plan` to the fingerprint's ring owner on a peer
+    /// Forwards a missed `plan` or `replan` to its ring owner on a peer
     /// thread. The owner's canonical response line is relayed unchanged
-    /// (re-chunked locally when the client streams); an unreachable or
-    /// ownership-denying owner falls back to local synthesis — a routing
-    /// failure degrades to single-daemon behavior, never to an error.
-    #[allow(clippy::too_many_arguments)]
-    fn proxy_plan(
+    /// (re-chunked locally when the client streams). An unreachable or
+    /// ownership-denying owner falls back to answering here — a routing
+    /// failure degrades to single-daemon behavior: the one miss tail on
+    /// `local`'s triple, or `local`'s error when this daemon cannot plan
+    /// the request itself.
+    fn proxy(
         &self,
-        id: u64,
-        fp: u64,
-        plan: Box<PlanRequest>,
         owner: String,
-        epoch: u64,
-        stream_chunk: Option<usize>,
+        forward: String,
+        answer: Answer,
+        local: Result<Arc<RequestTriple>, WireError>,
         tb: Option<TraceBuilder>,
         deliver: Deliver,
-    ) {
+    ) -> Submission {
+        self.shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
         let shared = self.shared.clone();
-        // The forward is the same request stamped with our ring epoch and
-        // never streamed — streaming is client-transport framing, applied
-        // locally to the owner's canonical line.
-        let mut fields = vec![
-            ("op", Value::Str("plan".into())),
-            ("id", Value::int(id)),
-            ("graph", plan.graph.clone()),
-            ("cluster", plan.cluster.clone()),
-            ("options", plan.options.clone()),
-        ];
-        if let Some(ttl) = plan.ttl_ms {
-            fields.push(("ttl_ms", Value::int(ttl)));
-        }
-        if plan.profile {
-            fields.push(("profile", Value::Bool(true)));
-        }
-        fields.push(("epoch", Value::int(epoch)));
-        let line = Value::obj(fields).render();
+        let deliver = deliver.owe(answer.id);
         self.shared.cluster.peers.spawn(Box::new(move || {
-            let reply = shared
+            let mut tb = tb;
+            let relayed = shared
                 .cluster
                 .peers
-                .call(&owner, &line)
+                .call(&owner, &forward)
                 .ok()
                 .and_then(|resp| classify_proxy_reply(&resp).map(|r| (resp, r)));
-            match reply {
-                Some((resp, ProxyReply::Pass { outcome, is_plan })) => {
-                    let mut tb = tb;
-                    let bytes =
-                        encode_span(&mut tb, || proxied_bytes(id, resp, is_plan, stream_chunk));
-                    deliver(bytes, seal(tb, outcome));
+            match (relayed, local) {
+                (Some((resp, ProxyReply::Pass { outcome, is_plan })), _) => {
+                    // Only a successful plan-bearing frame streams.
+                    let stream_chunk = answer.stream_chunk(&shared).filter(|_| is_plan);
+                    let bytes = encode_span(&mut tb, || line_frames(answer.id, resp, stream_chunk));
+                    deliver.answer(bytes, seal(tb, outcome));
                 }
-                // The owner denied ownership, was unreachable, or answered
-                // garbage: synthesize locally.
-                _ => plan_attach_deliver(
-                    &shared,
-                    id,
-                    fp,
-                    &plan.graph,
-                    &plan.cluster,
-                    &plan.options,
-                    plan.ttl_ms,
-                    plan.profile,
-                    stream_chunk,
-                    None,
-                    tb,
-                    deliver,
-                ),
+                (_, Ok(triple)) => {
+                    answer_miss(&shared, answer, &triple, tb, deliver);
+                }
+                (_, Err(err)) => {
+                    let bytes = encode_span(&mut tb, || error_line(&shared, answer.id, &err));
+                    deliver.answer(bytes, seal(tb, outcome_for_error(&err)));
+                }
             }
         }));
-    }
-
-    /// Forwards a `replan` to the prior fingerprint's ring owner, exactly
-    /// as [`PlanService::proxy_plan`] forwards a `plan`. When this daemon
-    /// could prepare the rebase locally (`fallback`), an unreachable owner
-    /// degrades to a local warm-seeded synthesis; otherwise the request
-    /// fails with the `unknown_fingerprint` it would have failed with on
-    /// a single daemon.
-    #[allow(clippy::too_many_arguments)]
-    fn proxy_replan(
-        &self,
-        id: u64,
-        rp: Box<ReplanRequest>,
-        owner: String,
-        epoch: u64,
-        stream_chunk: Option<usize>,
-        fallback: Option<replan::PreparedReplan>,
-        tb: Option<TraceBuilder>,
-        deliver: Deliver,
-    ) {
-        let shared = self.shared.clone();
-        let mut fields = vec![
-            ("op", Value::Str("replan".into())),
-            ("id", Value::int(id)),
-            ("prior", Value::Str(render_fingerprint(rp.prior))),
-            ("delta", rp.delta.encode()),
-        ];
-        if let Some(ttl) = rp.ttl_ms {
-            fields.push(("ttl_ms", Value::int(ttl)));
-        }
-        if rp.profile {
-            fields.push(("profile", Value::Bool(true)));
-        }
-        fields.push(("epoch", Value::int(epoch)));
-        let line = Value::obj(fields).render();
-        self.shared.cluster.peers.spawn(Box::new(move || {
-            let reply = shared
-                .cluster
-                .peers
-                .call(&owner, &line)
-                .ok()
-                .and_then(|resp| classify_proxy_reply(&resp).map(|r| (resp, r)));
-            match reply {
-                Some((resp, ProxyReply::Pass { outcome, is_plan })) => {
-                    let mut tb = tb;
-                    let bytes =
-                        encode_span(&mut tb, || proxied_bytes(id, resp, is_plan, stream_chunk));
-                    deliver(bytes, seal(tb, outcome));
-                }
-                _ => match fallback {
-                    Some(prep) => plan_attach_deliver(
-                        &shared,
-                        id,
-                        prep.fp,
-                        &prep.triple.graph,
-                        &prep.triple.cluster,
-                        &prep.triple.options,
-                        rp.ttl_ms,
-                        rp.profile,
-                        stream_chunk,
-                        Some((rp.prior, prep.prior.clone())),
-                        tb,
-                        deliver,
-                    ),
-                    None => {
-                        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        let err = WireError::new(
-                            UNKNOWN_FINGERPRINT_KIND,
-                            format!(
-                                "no request recorded for {} here and its ring owner is \
-                                 unreachable; plan it cold first",
-                                render_fingerprint(rp.prior)
-                            ),
-                        );
-                        let mut tb = tb;
-                        let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-                        deliver(bytes, seal(tb, outcome_for_error(&err)));
-                    }
-                },
-            }
-        }));
+        Submission::Pending
     }
 
     /// A consistent stats snapshot: every gauge is sampled exactly once,
@@ -1213,14 +856,15 @@ impl Drop for PlanService {
 }
 
 // ---------------------------------------------------------------------------
-// Request parsing shared by the sync and async paths
+// Request parsing
 // ---------------------------------------------------------------------------
 
-struct PlanRequest {
-    graph: Value,
-    cluster: Value,
-    options: Value,
+/// The optional fields `plan` and `replan` share.
+#[derive(Clone, Copy)]
+struct PlanFlags {
+    /// How long the synthesized plan should stay cached.
     ttl_ms: Option<u64>,
+    /// `"stream": true` — chunk the response (honored by the event loop).
     stream: bool,
     /// `"profile": true` — include the synthesis profile in the response.
     profile: bool,
@@ -1232,18 +876,19 @@ struct PlanRequest {
     epoch: Option<u64>,
 }
 
+struct PlanRequest {
+    triple: Arc<RequestTriple>,
+    flags: PlanFlags,
+}
+
 struct ReplanRequest {
-    /// Fingerprint of the previously planned request to start from.
+    /// Fingerprint of the previously planned request to start from. A
+    /// replan routes by it — the daemon owning the prior fingerprint holds
+    /// its triple and plan.
     prior: u64,
     /// How the cluster changed since that plan.
     delta: ClusterDelta,
-    ttl_ms: Option<u64>,
-    stream: bool,
-    /// `"profile": true` — include the synthesis profile in the response.
-    profile: bool,
-    /// See [`PlanRequest::epoch`]. A replan routes by `prior` — the
-    /// daemon owning the prior fingerprint holds its triple and plan.
-    epoch: Option<u64>,
+    flags: PlanFlags,
 }
 
 /// A `ring` request carrying a membership record to install.
@@ -1266,6 +911,11 @@ struct ReplicateRequest {
 enum ReqOp {
     Plan(Box<PlanRequest>),
     Replan(Box<ReplanRequest>),
+    /// A verb answered with one frame, without planning or routing.
+    Frame(FrameOp),
+}
+
+enum FrameOp {
     Stats,
     Metrics,
     Trace {
@@ -1285,12 +935,12 @@ impl ReqOp {
         match self {
             ReqOp::Plan(_) => Verb::Plan,
             ReqOp::Replan(_) => Verb::Replan,
-            ReqOp::Stats => Verb::Stats,
-            ReqOp::Metrics => Verb::Metrics,
-            ReqOp::Trace { .. } => Verb::Trace,
-            ReqOp::Ring(_) => Verb::Ring,
-            ReqOp::Replicate(_) => Verb::Replicate,
-            ReqOp::Shutdown => Verb::Shutdown,
+            ReqOp::Frame(FrameOp::Stats) => Verb::Stats,
+            ReqOp::Frame(FrameOp::Metrics) => Verb::Metrics,
+            ReqOp::Frame(FrameOp::Trace { .. }) => Verb::Trace,
+            ReqOp::Frame(FrameOp::Ring(_)) => Verb::Ring,
+            ReqOp::Frame(FrameOp::Replicate(_)) => Verb::Replicate,
+            ReqOp::Frame(FrameOp::Shutdown) => Verb::Shutdown,
         }
     }
 }
@@ -1311,21 +961,13 @@ impl Request {
         match op {
             "plan" => {
                 let fetch = |key: &str| v.field(key).cloned().map_err(|e| (id, WireError::from(e)));
-                let (graph, cluster, options) =
-                    (fetch("graph")?, fetch("cluster")?, fetch("options")?);
-                let (ttl_ms, stream, profile, epoch) = parse_ttl_stream(&v, id)?;
-                Ok(Request {
-                    id,
-                    op: ReqOp::Plan(Box::new(PlanRequest {
-                        graph,
-                        cluster,
-                        options,
-                        ttl_ms,
-                        stream,
-                        profile,
-                        epoch,
-                    })),
-                })
+                let triple = Arc::new(RequestTriple {
+                    graph: fetch("graph")?,
+                    cluster: fetch("cluster")?,
+                    options: fetch("options")?,
+                });
+                let flags = parse_flags(&v, id)?;
+                Ok(Request { id, op: ReqOp::Plan(Box::new(PlanRequest { triple, flags })) })
             }
             "replan" => {
                 // Decode the delta at parse time: a malformed delta is a
@@ -1338,17 +980,10 @@ impl Request {
                 let delta_value = v.field("delta").map_err(|e| (id, WireError::from(e)))?;
                 let delta =
                     ClusterDelta::decode(delta_value).map_err(|e| (id, WireError::from(e)))?;
-                let (ttl_ms, stream, profile, epoch) = parse_ttl_stream(&v, id)?;
+                let flags = parse_flags(&v, id)?;
                 Ok(Request {
                     id,
-                    op: ReqOp::Replan(Box::new(ReplanRequest {
-                        prior,
-                        delta,
-                        ttl_ms,
-                        stream,
-                        profile,
-                        epoch,
-                    })),
+                    op: ReqOp::Replan(Box::new(ReplanRequest { prior, delta, flags })),
                 })
             }
             "ring" => {
@@ -1366,7 +1001,7 @@ impl Request {
                         Some(Box::new(RingInstall { info, self_addr }))
                     }
                 };
-                Ok(Request { id, op: ReqOp::Ring(install) })
+                Ok(Request { id, op: ReqOp::Frame(FrameOp::Ring(install)) })
             }
             "replicate" => {
                 let fp = v
@@ -1382,11 +1017,15 @@ impl Request {
                 };
                 Ok(Request {
                     id,
-                    op: ReqOp::Replicate(Box::new(ReplicateRequest { fp, plan, req })),
+                    op: ReqOp::Frame(FrameOp::Replicate(Box::new(ReplicateRequest {
+                        fp,
+                        plan,
+                        req,
+                    }))),
                 })
             }
-            "stats" => Ok(Request { id, op: ReqOp::Stats }),
-            "metrics" => Ok(Request { id, op: ReqOp::Metrics }),
+            "stats" => Ok(Request { id, op: ReqOp::Frame(FrameOp::Stats) }),
+            "metrics" => Ok(Request { id, op: ReqOp::Frame(FrameOp::Metrics) }),
             "trace" => {
                 // Both fields optional: `n` caps how many recent traces
                 // come back (default 16), `min_ms` keeps only requests at
@@ -1399,9 +1038,9 @@ impl Request {
                     None | Some(Value::Null) => 0,
                     Some(x) => x.as_u64().map_err(|e| (id, WireError::from(e)))?,
                 };
-                Ok(Request { id, op: ReqOp::Trace { n, min_ms } })
+                Ok(Request { id, op: ReqOp::Frame(FrameOp::Trace { n, min_ms }) })
             }
-            "shutdown" => Ok(Request { id, op: ReqOp::Shutdown }),
+            "shutdown" => Ok(Request { id, op: ReqOp::Frame(FrameOp::Shutdown) }),
             other => Err((id, WireError::new("decode", format!("unknown op `{other}`")))),
         }
     }
@@ -1409,11 +1048,7 @@ impl Request {
 
 /// The optional `ttl_ms`, `stream`, `profile`, and `epoch` request
 /// fields, shared by `plan` and `replan`.
-#[allow(clippy::type_complexity)]
-fn parse_ttl_stream(
-    v: &Value,
-    id: u64,
-) -> Result<(Option<u64>, bool, bool, Option<u64>), (u64, WireError)> {
+fn parse_flags(v: &Value, id: u64) -> Result<PlanFlags, (u64, WireError)> {
     // Optional cache-lifetime request: how long the synthesized plan
     // should stay valid (a tenant planning for a cluster it is about to
     // decommission bounds its own footprint).
@@ -1450,12 +1085,35 @@ fn parse_ttl_stream(
         None | Some(Value::Null) => None,
         Some(e) => Some(e.as_u64().map_err(|e| (id, WireError::from(e)))?),
     };
-    Ok((ttl_ms, stream, profile, epoch))
+    Ok(PlanFlags { ttl_ms, stream, profile, epoch })
 }
 
 // ---------------------------------------------------------------------------
 // Cluster proxying
 // ---------------------------------------------------------------------------
+
+/// A `plan` or `replan` forwarded to its ring owner: the request's own
+/// fields, stamped with our ring epoch and never streamed — streaming is
+/// client-transport framing, applied locally to the owner's canonical
+/// line.
+fn forward_line(
+    op: &str,
+    id: u64,
+    body: Vec<(&str, Value)>,
+    flags: PlanFlags,
+    epoch: u64,
+) -> String {
+    let mut fields = vec![("op", Value::Str(op.into())), ("id", Value::int(id))];
+    fields.extend(body);
+    if let Some(ttl) = flags.ttl_ms {
+        fields.push(("ttl_ms", Value::int(ttl)));
+    }
+    if flags.profile {
+        fields.push(("profile", Value::Bool(true)));
+    }
+    fields.push(("epoch", Value::int(epoch)));
+    Value::obj(fields).render()
+}
 
 /// What a proxied owner's response line means for the local request.
 enum ProxyReply {
@@ -1494,128 +1152,12 @@ fn classify_proxy_reply(resp: &str) -> Option<ProxyReply> {
     Some(ProxyReply::Pass { outcome, is_plan: v.get("plan").is_some() })
 }
 
-/// The wire bytes relayed for a proxied response: the owner's canonical
-/// line as-is — or, when the client asked to stream and the line is a
-/// successful plan frame, its locally chunked encoding. Canonical JSON
-/// makes the relay byte-identical to a locally rendered response.
-fn proxied_bytes(id: u64, line: String, is_plan: bool, stream_chunk: Option<usize>) -> Vec<u8> {
-    line_bytes(id, line, stream_chunk.filter(|_| is_plan))
-}
-
-/// The local-resolution tail shared by every proxy fallback: re-probe the
-/// cache (the plan may have arrived — replication, a raced request —
-/// since the routing decision), then attach to the single-flight dispatch
-/// and deliver the rendered response when it resolves. `prior` carries a
-/// replan's prior plan: it seeds the synthesis warm and produces the
-/// response's `replan` diff.
-#[allow(clippy::too_many_arguments)]
-fn plan_attach_deliver(
-    shared: &Arc<Shared>,
-    id: u64,
-    fp: u64,
-    graph: &Value,
-    cluster: &Value,
-    options: &Value,
-    ttl_ms: Option<u64>,
-    want_profile: bool,
-    stream_chunk: Option<usize>,
-    prior: Option<(u64, Arc<CachedPlan>)>,
-    mut tb: Option<TraceBuilder>,
-    deliver: Deliver,
-) {
-    if let Some(cached) = shared.cache.get(fp) {
-        shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-        if prior.is_some() {
-            shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-        }
-        let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-        let diff = prior.as_ref().map(|(pfp, pplan)| replan_diff(*pfp, pplan, &cached));
-        let outcome = if prior.is_some() { Outcome::Replan } else { Outcome::Hit };
-        let bytes = encode_span(&mut tb, || {
-            plan_bytes(
-                id,
-                fp,
-                PlanSource::Cache,
-                &cached,
-                diff.as_ref(),
-                profile.as_deref(),
-                stream_chunk,
-            )
-        });
-        deliver(bytes, seal(tb, outcome));
-        return;
-    }
-    let warm = prior.as_ref().map(|(_, plan)| plan.clone());
-    let (slot, source) = match dispatch::attach(shared, fp, graph, cluster, options, ttl_ms, warm) {
-        Attach::Resolved(source, Ok(cached)) => {
-            if prior.is_some() {
-                shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-            }
-            let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-            let diff = prior.as_ref().map(|(pfp, pplan)| replan_diff(*pfp, pplan, &cached));
-            let outcome =
-                if prior.is_some() { Outcome::Replan } else { outcome_for_source(source) };
-            let bytes = encode_span(&mut tb, || {
-                plan_bytes(id, fp, source, &cached, diff.as_ref(), profile.as_deref(), stream_chunk)
-            });
-            deliver(bytes, seal(tb, outcome));
-            return;
-        }
-        Attach::Resolved(_, Err(err)) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-            deliver(bytes, seal(tb, outcome_for_error(&err)));
-            return;
-        }
-        Attach::Leader(slot) => (slot, PlanSource::Synthesized),
-        Attach::Follower(slot) => (slot, PlanSource::Coalesced),
-    };
-    let sub_shared = shared.clone();
-    let sub_slot = slot.clone();
-    dispatch::subscribe(
-        &slot,
-        Box::new(move |result: &PlanResult| {
-            let mut tb = tb;
-            attach_slot_spans(&mut tb, &sub_slot);
-            let (bytes, outcome) = match result {
-                Ok(plan) => {
-                    if prior.is_some() {
-                        sub_shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let profile = profile_for(&sub_shared, fp, want_profile, true, &mut tb);
-                    let diff = prior.as_ref().map(|(pfp, pplan)| replan_diff(*pfp, pplan, plan));
-                    let outcome =
-                        if prior.is_some() { Outcome::Replan } else { outcome_for_source(source) };
-                    let bytes = encode_span(&mut tb, || {
-                        plan_bytes(
-                            id,
-                            fp,
-                            source,
-                            plan,
-                            diff.as_ref(),
-                            profile.as_deref(),
-                            stream_chunk,
-                        )
-                    });
-                    (bytes, outcome)
-                }
-                Err(err) => {
-                    sub_shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, err)));
-                    (bytes, outcome_for_error(err))
-                }
-            };
-            deliver(bytes, seal(tb, outcome));
-        }),
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Frame rendering
 // ---------------------------------------------------------------------------
 
 /// `{"id":N,"ok":false,"error":{...}}`.
-pub(crate) fn error_frame(id: u64, err: &WireError) -> Value {
+fn error_frame(id: u64, err: &WireError) -> Value {
     Value::obj(vec![("id", Value::int(id)), ("ok", Value::Bool(false)), ("error", err.encode())])
 }
 
@@ -1714,17 +1256,23 @@ fn plan_line(
 }
 
 /// One rendered frame plus its newline.
-pub(crate) fn frame_bytes(frame: &Value) -> Vec<u8> {
-    let mut bytes = frame.render().into_bytes();
-    bytes.push(b'\n');
-    bytes
+fn frame_line(frame: &Value) -> String {
+    let mut line = frame.render();
+    line.push('\n');
+    line
 }
 
-/// The wire bytes of a successful plan response: the canonical single
+/// An error response frame, counted in the `errors` stat.
+fn error_line(shared: &Shared, id: u64, err: &WireError) -> String {
+    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    frame_line(&error_frame(id, err))
+}
+
+/// The wire frames of a successful plan response: the canonical single
 /// line, or — when the request advertised `"stream": true` — its chunked
 /// encoding. The stream payload *is* the canonical line, so reassembly is
 /// byte-identical to the unstreamed response.
-pub(crate) fn plan_bytes(
+fn plan_frames(
     id: u64,
     fp: u64,
     source: PlanSource,
@@ -1732,25 +1280,25 @@ pub(crate) fn plan_bytes(
     diff: Option<&PlanDiff>,
     profile: Option<&SynthProfile>,
     stream_chunk: Option<usize>,
-) -> Vec<u8> {
-    line_bytes(id, plan_line(id, fp, source, plan, diff, profile), stream_chunk)
+) -> String {
+    line_frames(id, plan_line(id, fp, source, plan, diff, profile), stream_chunk)
 }
 
 /// A response line on the wire: the line plus its newline, or its chunked
 /// stream encoding at `stream_chunk` bytes per chunk.
-fn line_bytes(id: u64, mut line: String, stream_chunk: Option<usize>) -> Vec<u8> {
+fn line_frames(id: u64, mut line: String, stream_chunk: Option<usize>) -> String {
     match stream_chunk {
         None => {
             line.push('\n');
-            line.into_bytes()
+            line
         }
         Some(chunk) => {
-            let mut bytes = Vec::with_capacity(line.len() + line.len() / 8);
+            let mut frames = String::with_capacity(line.len() + line.len() / 8);
             for frame in encode_stream(id, &line, chunk) {
-                bytes.extend_from_slice(frame.as_bytes());
-                bytes.push(b'\n');
+                frames.push_str(&frame);
+                frames.push('\n');
             }
-            bytes
+            frames
         }
     }
 }
@@ -1770,10 +1318,9 @@ mod tests {
     }
 
     /// Reassembles a streamed response into its canonical line.
-    fn reassemble(id: u64, bytes: &[u8]) -> String {
-        let text = std::str::from_utf8(bytes).expect("UTF-8 frames");
+    fn reassemble(id: u64, frames: &str) -> String {
         let mut decoder = StreamDecoder::new(id);
-        for frame in text.split_terminator('\n') {
+        for frame in frames.split_terminator('\n') {
             let v = parse(frame).expect("stream frame parses");
             if let StreamEvent::Done(payload) = decoder.feed(&v).expect("valid stream") {
                 return payload;
@@ -1820,10 +1367,10 @@ mod tests {
             prop_assert_eq!(&line, &reference);
 
             let unstreamed =
-                plan_bytes(id, fp, source, &plan, diff.as_ref(), profile.as_ref(), None);
-            prop_assert_eq!(unstreamed, format!("{reference}\n").into_bytes());
+                plan_frames(id, fp, source, &plan, diff.as_ref(), profile.as_ref(), None);
+            prop_assert_eq!(unstreamed, format!("{reference}\n"));
             let streamed =
-                plan_bytes(id, fp, source, &plan, diff.as_ref(), profile.as_ref(), Some(chunk));
+                plan_frames(id, fp, source, &plan, diff.as_ref(), profile.as_ref(), Some(chunk));
             prop_assert_eq!(reassemble(id, &streamed), reference);
         }
     }
