@@ -4,10 +4,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hap_balancer::{estimate_time, optimize_ratios, round_shards};
+use hap_bench::figures::harness_model;
 use hap_cluster::{ClusterSpec, Granularity};
 use hap_collectives::{profile_collectives, GroundTruthNet, NetworkParams};
 use hap_lp::{Problem, Relation};
-use hap_models::{bert_base, transformer_layer, BertConfig, TransformerConfig};
+use hap_models::{bert_base, transformer_layer, Benchmark, BertConfig, TransformerConfig};
 use hap_synthesis::{synthesize, synthesize_with_theory, HotPathBench, SynthConfig, Theory};
 use hap_tensor::Tensor;
 
@@ -93,6 +94,25 @@ fn bench_synthesis(c: &mut Criterion) {
     });
     c.bench_function("balancer/estimate_transformer", |bench| {
         bench.iter(|| black_box(estimate_time(&graph, &q, &devices, &profile, &ratios)))
+    });
+}
+
+fn bench_greedy_seed(c: &mut Criterion) {
+    // The greedy descent that seeds every A* search, on its own: a zero
+    // time budget returns the greedy incumbent without expanding a state.
+    // Harness BERT-Base on the 8-GPU cluster has ~3k triples and the
+    // descent takes ~600 steps, so a per-step scan of the whole theory
+    // (or a whole-theory lookahead per filler) shows up here at once.
+    let cluster = ClusterSpec::paper_heterogeneous(1);
+    let graph = harness_model(Benchmark::BertBase, 8);
+    let devices = cluster.virtual_devices(Granularity::PerGpu);
+    let net = GroundTruthNet::new(NetworkParams::paper_cloud());
+    let profile = profile_collectives(&net, devices.len());
+    let ratios =
+        vec![cluster.proportional_ratios(Granularity::PerGpu); graph.segment_count().max(1)];
+    let cfg = SynthConfig { time_budget_secs: 0.0, ..SynthConfig::default() };
+    c.bench_function("synthesis/greedy_seed_bert_base", |bench| {
+        bench.iter(|| black_box(synthesize(&graph, &devices, &profile, &ratios, &cfg).unwrap()))
     });
 }
 
@@ -365,6 +385,7 @@ criterion_group!(
     bench_tensor,
     bench_lp,
     bench_synthesis,
+    bench_greedy_seed,
     bench_parallel_synthesis,
     bench_expand_hot_path,
     bench_plan_service,

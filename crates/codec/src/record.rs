@@ -55,7 +55,9 @@ pub struct CachedPlan {
     pub ratios: ShardingRatios,
     /// Cost-model estimate of the per-iteration time, bit-preserved.
     pub estimated_time: f64,
-    /// Alternating-optimization rounds the original synthesis performed.
+    /// The 1-based index of the alternating-optimization round whose plan
+    /// the original synthesis chose (`hap::Plan::rounds`), not the number
+    /// of rounds that ran.
     pub rounds: usize,
     /// Fingerprint of the request's canonical graph encoding.
     pub graph_fp: u64,

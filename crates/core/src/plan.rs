@@ -22,7 +22,10 @@ pub struct Plan {
     pub ratios: ShardingRatios,
     /// Cost-model estimate of the per-iteration time (seconds).
     pub estimated_time: f64,
-    /// Alternating-optimization rounds performed.
+    /// The 1-based index of the alternating-optimization round whose plan
+    /// was chosen. It is not the number of rounds that ran: later rounds
+    /// that found no better plan leave it unchanged (the synthesis
+    /// profile's `searches` counts the rounds run, one synthesis each).
     pub rounds: usize,
     /// Wall-clock time spent in the optimization loop.
     pub synthesis_time: Duration,

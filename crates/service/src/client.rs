@@ -33,7 +33,9 @@ pub struct PlanReply {
     pub ratios: ShardingRatios,
     /// Cost-model estimate of the per-iteration time, bit-preserved.
     pub estimated_time: f64,
-    /// Alternating-optimization rounds the synthesis performed.
+    /// The 1-based index of the alternating-optimization round whose plan
+    /// the synthesis chose ([`hap::Plan::rounds`]), not the number of rounds
+    /// that ran.
     pub rounds: usize,
 }
 

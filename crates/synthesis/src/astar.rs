@@ -37,6 +37,15 @@
 //! [`HotPathBench`] freezes this loop into a micro-benchmarkable workload
 //! (`synthesis/expand_hot_path`), with a `Direct` cost oracle preserving
 //! the pre-table behavior for comparison.
+//!
+//! Both the expansion and the greedy seed walk only the triples that can
+//! matter, through the one per-node walk [`Theory::applicable`]: a node's
+//! communication triples are skipped as a range while the node is
+//! unproduced or already communicated. A greedy step first looks only at
+//! compute triples of live, unproduced nodes ([`Theory::progress`]), and
+//! its filler lookahead reads the consumers of the filler's new
+//! properties, not the whole theory, so each step is linear in the triples
+//! it can use.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -448,10 +457,10 @@ impl CostSource<'_> {
 /// Per-synthesis search counters, collected by the wave coordinator.
 ///
 /// Every counter is maintained in the *sequential* phases of the search —
-/// the wave pop loop and the commit loop — never inside the parallel
-/// `expand` calls, so profiling adds no atomics to the scatter path and
-/// the numbers are bit-identical across thread counts (wave composition
-/// and merge order are already thread-count independent).
+/// the greedy seed, the wave pop loop and the commit loop — never inside
+/// the parallel `expand` calls, so profiling adds no atomics to the scatter
+/// path and the numbers are bit-identical across thread counts (wave
+/// composition and merge order are already thread-count independent).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SynthProfile {
     /// Waves popped from the frontier.
@@ -479,6 +488,14 @@ pub struct SynthProfile {
     /// 1 if a warm-start program was accepted as the initial incumbent
     /// (summed across rounds when profiles are merged).
     pub warm_seeded: u64,
+    /// Synthesis calls folded into this profile: 1 per search (summed
+    /// across rounds when profiles are merged).
+    pub searches: u64,
+    /// Steps of the greedy descent that seeds the incumbent.
+    pub seed_steps: u64,
+    /// Greedy steps with no applicable progress triple, which needed the
+    /// filler pass.
+    pub seed_filler_passes: u64,
 }
 
 impl SynthProfile {
@@ -496,11 +513,14 @@ impl SynthProfile {
         self.frontier_peak = self.frontier_peak.max(other.frontier_peak);
         self.recycled += other.recycled;
         self.warm_seeded += other.warm_seeded;
+        self.searches += other.searches;
+        self.seed_steps += other.seed_steps;
+        self.seed_filler_passes += other.seed_filler_passes;
     }
 
     /// The counters as `(name, value)` pairs, in a stable order — the
     /// shape upper layers use for wire encoding and trace annotations.
-    pub fn entries(&self) -> [(&'static str, u64); 11] {
+    pub fn entries(&self) -> [(&'static str, u64); 14] {
         [
             ("waves", self.waves),
             ("expansions", self.expansions),
@@ -513,6 +533,9 @@ impl SynthProfile {
             ("frontier_peak", self.frontier_peak),
             ("recycled", self.recycled),
             ("warm_seeded", self.warm_seeded),
+            ("searches", self.searches),
+            ("seed_steps", self.seed_steps),
+            ("seed_filler_passes", self.seed_filler_passes),
         ]
     }
 }
@@ -654,8 +677,10 @@ fn synthesize_core(
     // score cannot beat it is pruned, which bounds the exploration
     // (branch-and-bound on top of A*).
     let greedy_t0 = Instant::now();
-    let mut incumbent: Option<Incumbent> = greedy_seed(&initial, theory, &costs, &interner, graph)
-        .map(|(cost, program)| Incumbent { cost, program });
+    prof.searches += 1;
+    let mut incumbent: Option<Incumbent> =
+        greedy_seed(&initial, theory, &costs, &interner, graph, prof)
+            .map(|(cost, program)| Incumbent { cost, program });
     if std::env::var_os("HAP_SYNTH_DEBUG").is_some() {
         eprintln!(
             "greedy: {:?}, incumbent = {:?}",
@@ -861,12 +886,13 @@ fn budget_fallback(
         .ok_or(SynthError::ExpansionLimit(expansions))
 }
 
-/// Expands one state against the whole theory, returning its surviving
-/// successors. Runs on worker threads: reads the frozen dominance map and
-/// incumbent bound, writes nothing (the interner is append-only and
-/// content-addressed), and polls the shared deadline flag. The whole triple
-/// scan is allocation-free — cost lookups are table reads, previews reuse
-/// one scratch buffer — until a successor actually survives the bounds.
+/// Expands one state by the triples that can fire on it
+/// ([`Theory::applicable`]), returning its surviving successors. Runs on
+/// worker threads: reads the frozen dominance map and incumbent bound,
+/// writes nothing (the interner is append-only and content-addressed), and
+/// polls the shared deadline flag. The whole triple walk is allocation-free
+/// — cost lookups are table reads, previews reuse one scratch buffer —
+/// until a successor actually survives the bounds.
 #[allow(clippy::too_many_arguments)]
 fn expand(
     cur: &State,
@@ -887,21 +913,19 @@ fn expand(
     let mut local: Vec<Box<State>> = Vec::new();
     recycle.take(&mut local);
     let cur_stage_max = cur.stage.iter().cloned().fold(0.0, f64::max);
-    for (k, triple) in theory.triples.iter().enumerate() {
-        if k % DEADLINE_STRIDE == 0 {
-            if out_of_time.load(AtomicOrdering::Relaxed) {
-                recycle.give(&mut local);
-                return out;
-            }
-            if Instant::now() >= deadline {
-                out_of_time.store(true, AtomicOrdering::Relaxed);
-                recycle.give(&mut local);
-                return out;
-            }
+    // The deadline poll: ends the walk once the shared flag is up or the
+    // clock has passed the deadline (raising the flag for the other workers).
+    let stop = || {
+        if out_of_time.load(AtomicOrdering::Relaxed) {
+            return true;
         }
-        if !triple_applicable(&cur.props, triple) {
-            continue;
+        let late = Instant::now() >= deadline;
+        if late {
+            out_of_time.store(true, AtomicOrdering::Relaxed);
         }
+        late
+    };
+    for (_, triple) in theory.applicable(&cur.props).until(DEADLINE_STRIDE, &stop) {
         if let Some(bound) = incumbent_cost {
             let (pcost, premaining) =
                 preview(cur, cur_stage_max, triple, costs, theory, &mut scratch);
@@ -951,12 +975,23 @@ fn expand(
 /// Greedy descent to an initial complete program: from the empty state,
 /// repeatedly apply the successor with the best score. Returns `None` when
 /// the descent stalls (the A\* then runs unseeded).
+///
+/// Each step is linear in the triples it can use. Progress first: the
+/// cheapest applicable compute triple of a live, unproduced node
+/// ([`Theory::progress`]; ties go to the earlier triple). Only when none
+/// applies does the filler pass walk every applicable triple (collectives
+/// and alternative placements) for the cheapest one that leads to a new
+/// property set and unblocks such a compute triple, a lookahead that reads
+/// only the consumers of the filler's new properties
+/// ([`Theory::enables_progress`]). Candidates are scored with the cheap
+/// preview; only the winner's state is constructed.
 fn greedy_seed(
     initial: &State,
     theory: &Theory,
     costs: &CostSource,
     interner: &PropInterner,
     graph: &Graph,
+    prof: &mut SynthProfile,
 ) -> Option<(f64, ProgChain)> {
     let mut cur = clone_state(initial);
     // Been-here check: stable-hash buckets with exact compare inside, so
@@ -969,48 +1004,38 @@ fn greedy_seed(
         if cur.remaining_required == 0 {
             return Some((cur.cost(), cur.program));
         }
-        // Progress-first: prefer the cheapest successor that produces a
-        // node not yet computed; only when none applies fall back to
-        // "filler" moves (collectives and alternative placements) that can
-        // unblock one. Candidates are scored with the cheap preview; only
-        // the winner's state is constructed.
-        let mut best_progress: Option<(f64, &Triple)> = None;
-        let mut best_filler: Option<(f64, &Triple)> = None;
         let cur_stage_max = cur.stage.iter().cloned().fold(0.0, f64::max);
-        for triple in &theory.triples {
-            if !triple_applicable(&cur.props, triple) {
-                continue;
-            }
-            let progress = theory.live[triple.output] && !cur.props.has_node(triple.output);
-            if !progress && best_progress.is_some() {
-                continue; // filler can't win once progress exists
-            }
+        let mut score_of = |triple: &Triple| {
             let (pcost, premaining) =
                 preview(&cur, cur_stage_max, triple, costs, theory, &mut scratch);
-            let score = pcost + costs.best_case_seconds(premaining);
-            if progress {
-                if best_progress.as_ref().is_none_or(|(bs, _)| score < *bs) {
-                    best_progress = Some((score, triple));
-                }
-            } else {
-                let cheaper = best_filler.as_ref().is_none_or(|(bs, _)| score < *bs);
-                if cheaper {
-                    // One-step lookahead: a filler is only useful if it
-                    // unblocks the computation of an unproduced node. Only
-                    // the successor's property set matters here, so the
-                    // full state (stage costs, program chain, interning) is
-                    // never constructed.
+            pcost + costs.best_case_seconds(premaining)
+        };
+        let mut best: Option<(f64, &Triple)> = None;
+        for (_, triple) in theory.progress(&cur.props) {
+            let score = score_of(triple);
+            if best.is_none_or(|(bs, _)| score < bs) {
+                best = Some((score, triple));
+            }
+        }
+        if best.is_none() {
+            prof.seed_filler_passes += 1;
+            for (_, triple) in theory.applicable(&cur.props) {
+                let score = score_of(triple);
+                if best.is_none_or(|(bs, _)| score < bs) {
+                    // Only the successor's property set matters here, so
+                    // the full state (stage costs, program chain,
+                    // interning) is never constructed.
                     let succ_props = apply_props(&cur.props, triple);
                     let unseen = !seen_keys
                         .get(&succ_props.stable_hash())
                         .is_some_and(|bucket| bucket.contains(&succ_props));
-                    if unseen && enables_progress(&succ_props, theory) {
-                        best_filler = Some((score, triple));
+                    if unseen && theory.enables_progress(&cur.props, triple, &succ_props) {
+                        best = Some((score, triple));
                     }
                 }
             }
         }
-        let next = match best_progress.or(best_filler) {
+        let next = match best {
             Some((_, triple)) => apply(&cur, triple, costs, interner, theory, graph),
             None => {
                 if debug {
@@ -1023,6 +1048,7 @@ fn greedy_seed(
                 return None;
             }
         };
+        prof.seed_steps += 1;
         if debug {
             if let Some(instr) = next.program.last() {
                 trace.push(format!("{instr:?}"));
@@ -1046,31 +1072,6 @@ fn greedy_seed(
         }
     }
     None
-}
-
-/// True if some not-yet-produced node's triple becomes applicable under
-/// `props`.
-fn enables_progress(props: &PropSet, theory: &Theory) -> bool {
-    theory.triples.iter().any(|t| {
-        theory.live[t.output]
-            && !props.has_node(t.output)
-            && t.comm_node.is_none_or(|e| !props.is_communicated(e))
-            && props.contains_all(&t.pre)
-    })
-}
-
-/// True when `triple` can fire on `props`: its communication (if any) has
-/// not already happened, its precondition holds, and it establishes at
-/// least one new property. The one applicability predicate shared by
-/// [`expand`], the greedy seed, and the hot-path workload builder, so the
-/// three can never drift apart.
-fn triple_applicable(props: &PropSet, triple: &Triple) -> bool {
-    if let Some(e) = triple.comm_node {
-        if props.is_communicated(e) {
-            return false;
-        }
-    }
-    props.contains_all(&triple.pre) && !triple.post.iter().all(|p| props.contains(p))
 }
 
 /// Applies the property-set effect of a triple to `props` — communicated
@@ -1346,12 +1347,7 @@ impl HotPathBench {
                 if states.len() >= max_states {
                     break;
                 }
-                let mut matched = Vec::new();
-                for (k, triple) in theory.triples.iter().enumerate() {
-                    if triple_applicable(&state.props, triple) {
-                        matched.push(k);
-                    }
-                }
+                let matched: Vec<usize> = theory.applicable(&state.props).map(|(k, _)| k).collect();
                 let stage_max = state.stage.iter().cloned().fold(0.0, f64::max);
                 for &k in &matched {
                     let triple = &theory.triples[k];
@@ -1687,15 +1683,34 @@ mod tests {
             max_expansions: 1_500,
             ..SynthConfig::default()
         };
-        let reference = synthesize(&graph, &devices, &profile, &ratios, &cfg(1)).unwrap();
+        let theory = Theory::build(&graph);
+        let run = |threads: usize| {
+            synthesize_with_theory_profiled(
+                &graph,
+                &theory,
+                &devices,
+                &profile,
+                &ratios,
+                &cfg(threads),
+                None,
+            )
+            .unwrap()
+        };
+        let (reference, reference_profile) = run(1);
+        assert_eq!(reference_profile.searches, 1);
+        assert!(reference_profile.seed_steps > 0);
+        assert!(reference_profile.seed_filler_passes <= reference_profile.seed_steps);
         for threads in [2usize, 8] {
-            let q = synthesize(&graph, &devices, &profile, &ratios, &cfg(threads)).unwrap();
+            let (q, prof) = run(threads);
             assert_eq!(q.fingerprint(), reference.fingerprint(), "threads={threads}");
             assert_eq!(
                 q.estimated_time.to_bits(),
                 reference.estimated_time.to_bits(),
                 "threads={threads}"
             );
+            // Every counter, the greedy seed's included, is maintained in
+            // the sequential phases of the search.
+            assert_eq!(prof, reference_profile, "threads={threads}");
         }
     }
 }

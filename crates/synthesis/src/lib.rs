@@ -65,4 +65,4 @@ pub use cost::{CostModel, CostTables, ShardingRatios, LAUNCH_OVERHEAD};
 pub use instr::fingerprint;
 pub use instr::{CollectiveInstr, DistInstr, DistProgram, ProgChain, Stage};
 pub use property::{InternedProps, Prop, PropInterner, PropSet};
-pub use theory::{Theory, TheoryOptions, Triple};
+pub use theory::{Applicable, Theory, TheoryOptions, Triple};

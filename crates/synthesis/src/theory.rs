@@ -15,13 +15,18 @@
 //!   triples at all (they can be materialized in any placement directly),
 //!   and each comm triple carries its reference node so the search can
 //!   enforce the at-most-once rule via `Communicated` markers.
+//!
+//! The theory lays each node's triples out contiguously — its compute
+//! triples, then its communication triples — and records those ranges, so
+//! the search's one applicable-triples walk ([`Theory::applicable`]) skips
+//! whole ranges that cannot fire instead of testing every triple.
 
 use std::collections::HashMap;
 
 use hap_graph::{Graph, NodeId, Placement, Role};
 
 use crate::instr::{CollectiveInstr, DistInstr};
-use crate::property::Prop;
+use crate::property::{Prop, PropSet};
 
 /// A Hoare triple of the background theory.
 #[derive(Clone, Debug)]
@@ -41,6 +46,30 @@ pub struct Triple {
     pub output: NodeId,
 }
 
+impl Triple {
+    /// True when the triple can fire on `props`: its communication (if any)
+    /// has not already happened, its precondition holds, and it establishes
+    /// at least one new property.
+    pub fn applicable(&self, props: &PropSet) -> bool {
+        if let Some(e) = self.comm_node {
+            if props.is_communicated(e) {
+                return false;
+            }
+        }
+        props.contains_all(&self.pre) && !self.post.iter().all(|p| props.contains(p))
+    }
+}
+
+/// The contiguous triples of one non-leaf node: compute triples in
+/// `start..comm`, communication triples in `comm..end`.
+#[derive(Clone, Copy, Debug)]
+struct NodeSpan {
+    node: NodeId,
+    start: usize,
+    comm: usize,
+    end: usize,
+}
+
 /// The background theory for one graph.
 #[derive(Debug)]
 pub struct Theory {
@@ -48,6 +77,8 @@ pub struct Theory {
     pub triples: Vec<Triple>,
     /// Index: property -> compute-triple indices with it in `pre`.
     pre_index: HashMap<Prop, Vec<usize>>,
+    /// Per-node triple ranges, in node (and so triple) order.
+    spans: Vec<NodeSpan>,
     /// Consumers of each node.
     pub consumers: Vec<Vec<NodeId>>,
     /// Required-output nodes (loss + updated parameters).
@@ -92,6 +123,7 @@ impl Theory {
     /// Builds the background theory with explicit options.
     pub fn build_with(graph: &Graph, opts: TheoryOptions) -> Self {
         let mut triples = Vec::new();
+        let mut spans = Vec::new();
         let consumers = graph.consumers();
 
         // Demanded placements per tensor: the placements that appear for it
@@ -118,6 +150,7 @@ impl Theory {
             if node.op.is_leaf() {
                 continue;
             }
+            let start = triples.len();
             // Compute triples, one per applicable rule, with leaf inputs fused.
             'rules: for rule in graph.placement_rules(node.id) {
                 if !opts.sfb
@@ -158,6 +191,7 @@ impl Theory {
 
             // Communication triples (never for leaves: optimization 2),
             // restricted to placements some consumer actually demands.
+            let comm_start = triples.len();
             let dims = node.shape.dims();
             let shardable: Vec<usize> = (0..dims.len()).filter(|&d| dims[d] >= 2).collect();
             let want = &demanded[node.id];
@@ -192,6 +226,7 @@ impl Theory {
                     }
                 }
             }
+            spans.push(NodeSpan { node: node.id, start, comm: comm_start, end: triples.len() });
         }
 
         let mut pre_index: HashMap<Prop, Vec<usize>> = HashMap::new();
@@ -216,12 +251,44 @@ impl Theory {
             }
         }
 
-        Theory { triples, pre_index, consumers, required, live }
+        Theory { triples, pre_index, spans, consumers, required, live }
     }
 
     /// Compute triples that need property `p` in their precondition.
     pub fn consumers_of_prop(&self, p: &Prop) -> &[usize] {
         self.pre_index.get(p).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Every triple that can fire on `props` ([`Triple::applicable`]), with
+    /// its index, in theory order.
+    pub fn applicable<'a>(&'a self, props: &'a PropSet) -> Applicable<'a> {
+        Applicable::new(self, props, false)
+    }
+
+    /// The triples that can fire on `props` *and* produce a live node that
+    /// `props` has not produced yet (the greedy seed's progress moves), with
+    /// their indices, in theory order. Only compute triples qualify: a
+    /// communication triple's precondition is a placement of its own node,
+    /// so that node is already produced.
+    pub fn progress<'a>(&'a self, props: &'a PropSet) -> Applicable<'a> {
+        Applicable::new(self, props, true)
+    }
+
+    /// The greedy seed's filler lookahead: true when firing `filler` on
+    /// `cur`, which yields `succ`, makes a compute triple of some live node
+    /// that `succ` has not produced applicable.
+    ///
+    /// Exact only when no such triple is applicable on `cur` (the seed asks
+    /// only then): a triple enabled by the filler must then need one of the
+    /// filler's new properties, so only those properties' consumers
+    /// ([`Theory::consumers_of_prop`]) are checked, not the whole theory.
+    pub fn enables_progress(&self, cur: &PropSet, filler: &Triple, succ: &PropSet) -> bool {
+        filler.post.iter().filter(|p| !cur.contains(p)).flat_map(|p| self.consumers_of_prop(p)).any(
+            |&i| {
+                let t = &self.triples[i];
+                self.live[t.output] && !succ.has_node(t.output) && succ.contains_all(&t.pre)
+            },
+        )
     }
 
     /// Number of triples (reported by the Fig. 19 overhead experiment).
@@ -232,6 +299,98 @@ impl Theory {
     /// True when the theory is empty.
     pub fn is_empty(&self) -> bool {
         self.triples.is_empty()
+    }
+}
+
+/// A walk over the triples that can fire on a property set, in theory
+/// order — the one applicable-triples walk that the A\* expansion, the
+/// greedy seed and the hot-path workload builder share.
+///
+/// It tests triple by triple with [`Triple::applicable`], but skips whole
+/// node ranges that cannot fire: a node's communication triples when the
+/// node is unproduced (their precondition is a placement of it) or already
+/// communicated (at most one communication per tensor). The progress walk
+/// ([`Theory::progress`]) opens only the compute range of live, unproduced
+/// nodes.
+pub struct Applicable<'a> {
+    theory: &'a Theory,
+    props: &'a PropSet,
+    progress_only: bool,
+    /// `(every, stop)`: see [`Applicable::until`].
+    stop: Option<(usize, &'a dyn Fn() -> bool)>,
+    /// Next span to open.
+    span: usize,
+    /// Next triple to examine and the end of the open range.
+    next: usize,
+    end: usize,
+    /// Triples tested so far.
+    examined: usize,
+}
+
+impl<'a> Applicable<'a> {
+    fn new(theory: &'a Theory, props: &'a PropSet, progress_only: bool) -> Self {
+        Applicable {
+            theory,
+            props,
+            progress_only,
+            stop: None,
+            span: 0,
+            next: 0,
+            end: 0,
+            examined: 0,
+        }
+    }
+
+    /// Ends the walk early once `stop` returns true; `stop` is polled
+    /// before the first and then every `every`-th tested triple, so a
+    /// caller's deadline is observed however few triples can fire.
+    pub fn until(mut self, every: usize, stop: &'a dyn Fn() -> bool) -> Self {
+        self.stop = Some((every, stop));
+        self
+    }
+
+    /// The range of `span` that can hold a firable triple under `props`.
+    fn open(&self, span: &NodeSpan) -> (usize, usize) {
+        let produced = self.props.has_node(span.node);
+        if self.progress_only {
+            if produced || !self.theory.live[span.node] {
+                (span.start, span.start)
+            } else {
+                (span.start, span.comm)
+            }
+        } else if produced && !self.props.is_communicated(span.node) {
+            (span.start, span.end)
+        } else {
+            (span.start, span.comm)
+        }
+    }
+}
+
+impl<'a> Iterator for Applicable<'a> {
+    type Item = (usize, &'a Triple);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            while self.next < self.end {
+                if let Some((every, stop)) = self.stop {
+                    if self.examined.is_multiple_of(every) && stop() {
+                        self.span = self.theory.spans.len();
+                        self.next = self.end;
+                        return None;
+                    }
+                }
+                let k = self.next;
+                self.next += 1;
+                self.examined += 1;
+                let triple = &self.theory.triples[k];
+                if triple.applicable(self.props) {
+                    return Some((k, triple));
+                }
+            }
+            let span = *self.theory.spans.get(self.span)?;
+            self.span += 1;
+            (self.next, self.end) = self.open(&span);
+        }
     }
 }
 
@@ -328,6 +487,29 @@ mod tests {
         let graph = g.build_training(l).unwrap();
         let t = Theory::build(&graph);
         assert_eq!(t.required.len(), 2); // loss + update_w
+    }
+
+    #[test]
+    fn spans_partition_the_triples_by_node() {
+        let mut g = GraphBuilder::new();
+        let x = g.placeholder("x", vec![8, 4]);
+        let w = g.parameter("w", vec![4, 2]);
+        let y = g.matmul(x, w);
+        let l = g.sum_all(y);
+        let t = Theory::build(&g.build_training(l).unwrap());
+        let mut next = 0;
+        for span in &t.spans {
+            assert_eq!(span.start, next, "spans are contiguous and in order");
+            assert!(span.start <= span.comm && span.comm <= span.end);
+            for tr in &t.triples[span.start..span.comm] {
+                assert_eq!((tr.output, tr.comm_node), (span.node, None));
+            }
+            for tr in &t.triples[span.comm..span.end] {
+                assert_eq!((tr.output, tr.comm_node), (span.node, Some(span.node)));
+            }
+            next = span.end;
+        }
+        assert_eq!(next, t.triples.len(), "every triple lies in a span");
     }
 
     #[test]
